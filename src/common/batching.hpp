@@ -11,9 +11,8 @@
 // to the same destination is preserved, which is all the FIFO-channel
 // contract promises.
 //
-// Opt in per replica via ReplicaConfig::batching_enabled; the protocol
-// wraps its handler's Context in a stack-allocated BatchingContext whose
-// destructor flushes.
+// Opt in per replica via ReplicaConfig::batching_enabled; replicas run
+// each handler through run_handler below.
 #ifndef WBAM_COMMON_BATCHING_HPP
 #define WBAM_COMMON_BATCHING_HPP
 
@@ -67,6 +66,25 @@ private:
     std::size_t max_batch_bytes_;
     std::vector<PerDest> dests_;  // first-send order; small fan-out degree
 };
+
+// Runs one replica handler `body(Context&)` under the replica's config
+// (a ReplicaConfig). With batching on or a WAL attached, same-destination
+// sends coalesce into batch frames flushed at handler exit, and that flush
+// point doubles as the WAL group-commit point: every record the handler
+// appended is durable (one fsync per batch in group_commit mode) before
+// any message it produced leaves. Otherwise the body runs directly on
+// `ctx`, with no decorator in the way.
+template <typename Config, typename Body>
+void run_handler(Context& ctx, const Config& cfg, Body&& body) {
+    if (!cfg.batching_enabled && cfg.wal == nullptr) {
+        body(ctx);
+        return;
+    }
+    BatchingContext batched(ctx, cfg.batch_max_bytes);
+    body(batched);
+    if (cfg.wal) cfg.wal->commit();
+    batched.flush();
+}
 
 }  // namespace wbam
 

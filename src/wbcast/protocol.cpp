@@ -127,20 +127,10 @@ void WbcastReplica::on_start(Context& ctx) {
 
 void WbcastReplica::on_message(Context& ctx, ProcessId from,
                                const BufferSlice& bytes) {
-    if (!cfg_.batching_enabled && cfg_.wal == nullptr) {
-        dispatch_message(ctx, from, bytes);
-        return;
-    }
-    // Same-destination sends made while handling this message (the leader's
-    // ACCEPT/DELIVER fan-out in particular) coalesce into batch frames,
-    // flushed when the decorator goes out of scope at handler exit. The WAL
-    // group-commit rides the same point: records land (and fsync, in group
-    // mode) before any message of this handler leaves, so nothing
-    // externalized is ever lost to a crash.
-    BatchingContext batched(ctx, cfg_.batch_max_bytes);
-    dispatch_message(batched, from, bytes);
-    if (cfg_.wal) cfg_.wal->commit();
-    batched.flush();
+    // Batches the leader's ACCEPT/DELIVER fan-out; WAL records land before
+    // any message of this handler leaves.
+    run_handler(ctx, cfg_,
+                [&](Context& c) { dispatch_message(c, from, bytes); });
 }
 
 void WbcastReplica::dispatch_message(Context& ctx, ProcessId from,
@@ -888,14 +878,7 @@ void WbcastReplica::replay_wal(Context&) {
 }
 
 void WbcastReplica::on_timer(Context& ctx, TimerId id) {
-    if (!cfg_.batching_enabled && cfg_.wal == nullptr) {
-        dispatch_timer(ctx, id);
-        return;
-    }
-    BatchingContext batched(ctx, cfg_.batch_max_bytes);
-    dispatch_timer(batched, id);
-    if (cfg_.wal) cfg_.wal->commit();
-    batched.flush();
+    run_handler(ctx, cfg_, [&](Context& c) { dispatch_timer(c, id); });
 }
 
 void WbcastReplica::dispatch_timer(Context& ctx, TimerId id) {

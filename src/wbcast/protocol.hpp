@@ -81,7 +81,7 @@ private:
         bool state_sent = false;
     };
 
-    // -- handler bodies (wrapped in a BatchingContext when enabled)
+    // -- handler bodies (run through run_handler)
     void dispatch_message(Context& ctx, ProcessId from,
                           const BufferSlice& bytes);
     void dispatch_timer(Context& ctx, TimerId id);

@@ -16,8 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "fastcast/fastcast.hpp"
-#include "ftskeen/ftskeen.hpp"
+#include "paxos/group_replica.hpp"
 #include "test_util.hpp"
 #include "wal/log.hpp"
 #include "wbcast/protocol.hpp"
@@ -242,12 +241,8 @@ TEST_P(StateReplayTest, RestartedReplicaStateIsByteIdentical) {
     c.run_for(milliseconds(900));  // quiesce: every multicast settled
 
     const auto snapshot_of = [&]() -> Bytes {
-        if (GetParam() == ProtocolKind::ftskeen)
-            return c.world()
-                .process_as<ftskeen::FtSkeenReplica>(victim)
-                .state_snapshot(bottom_ts);
         return c.world()
-            .process_as<fastcast::FastCastReplica>(victim)
+            .process_as<paxos::GroupReplica>(victim)
             .state_snapshot(bottom_ts);
     };
     const Bytes before = snapshot_of();

@@ -14,6 +14,7 @@
 
 #include "fastcast/fastcast.hpp"
 #include "ftskeen/ftskeen.hpp"
+#include "paxos/group_replica.hpp"
 #include "sim/network.hpp"
 #include "test_util.hpp"
 #include "wbcast/protocol.hpp"
@@ -66,16 +67,9 @@ std::size_t count_paxos(const std::vector<sim::SendRecord>& trace,
                          static_cast<std::uint8_t>(type), to);
 }
 
-// Per-protocol view of one replica's consensus engine (wbcast has none).
-const paxos::MultiPaxos* paxos_of(Cluster& c, ProtocolKind kind, ProcessId p) {
-    switch (kind) {
-        case ProtocolKind::ftskeen:
-            return &c.world().process_as<ftskeen::FtSkeenReplica>(p).paxos();
-        case ProtocolKind::fastcast:
-            return &c.world().process_as<fastcast::FastCastReplica>(p).paxos();
-        default:
-            return nullptr;
-    }
+// One black-box replica's consensus engine (wbcast has none).
+const paxos::MultiPaxos* paxos_of(Cluster& c, ProcessId p) {
+    return &c.world().process_as<paxos::GroupReplica>(p).paxos();
 }
 
 // --- boundedness under steady traffic ----------------------------------------
@@ -98,7 +92,7 @@ TEST(RetentionTest, SteadyTrafficKeepsChosenLogBounded) {
         c.world().at(t, [&] {
             for (const GroupId g : c.topo().all_groups()) {
                 for (const ProcessId p : c.topo().members(g)) {
-                    const auto* px = paxos_of(c, ProtocolKind::ftskeen, p);
+                    const auto* px = paxos_of(c, p);
                     max_chosen[p] = std::max(max_chosen[p], px->chosen_count());
                     monotone &= px->applied_upto() >= last_applied[p];
                     last_applied[p] = px->applied_upto();
@@ -118,7 +112,7 @@ TEST(RetentionTest, SteadyTrafficKeepsChosenLogBounded) {
     // member ends with a non-trivial floor and ~240 applied slots.
     for (const GroupId g : c.topo().all_groups()) {
         for (const ProcessId p : c.topo().members(g)) {
-            const auto* px = paxos_of(c, ProtocolKind::ftskeen, p);
+            const auto* px = paxos_of(c, p);
             EXPECT_GT(px->pruned_upto(), 0u) << "replica " << p;
             EXPECT_GE(px->applied_upto(), 100u) << "replica " << p;
             EXPECT_LE(px->chosen_count(),
@@ -165,7 +159,7 @@ TEST(RetentionTest, SeveredFtskeenMemberCatchesUpViaSnapshot) {
     // It got there via the snapshot path, not slot-by-slot.
     EXPECT_GE(count_paxos(c.world().send_trace(),
                           paxos::MsgType::catchup_snapshot, lagging), 1u);
-    const auto* lag_paxos = paxos_of(c, ProtocolKind::ftskeen, lagging);
+    const auto* lag_paxos = paxos_of(c, lagging);
     EXPECT_GT(lag_paxos->pruned_upto(), 0u);
     // Once the group-wide delivered floor passed them, every member
     // compacted the delivered entries to payload-less stubs (the app-log
@@ -173,24 +167,24 @@ TEST(RetentionTest, SeveredFtskeenMemberCatchesUpViaSnapshot) {
     // hypothetical blank member below the floor — exactly wbcast's
     // property — but every member can serve any requester at-or-above its
     // own watermark, which covers every member that ever reported.
-    auto& healed = c.world().process_as<ftskeen::FtSkeenReplica>(lagging);
+    auto& healed = c.world().process_as<paxos::GroupReplica>(lagging);
     EXPECT_GT(healed.compacted_count(), 0u);
     EXPECT_FALSE(healed.can_serve_snapshot(bottom_ts));
-    EXPECT_FALSE(c.world().process_as<ftskeen::FtSkeenReplica>(0)
+    EXPECT_FALSE(c.world().process_as<paxos::GroupReplica>(0)
                      .can_serve_snapshot(bottom_ts));
     EXPECT_TRUE(healed.can_serve_snapshot(healed.max_delivered_gts()));
     for (const ProcessId p : c.topo().members(0)) {
-        auto& r = c.world().process_as<ftskeen::FtSkeenReplica>(p);
+        auto& r = c.world().process_as<paxos::GroupReplica>(p);
         EXPECT_TRUE(r.can_serve_snapshot(r.max_delivered_gts()));
     }
     // Applied state is byte-identical across every member of each group.
     for (const GroupId g : c.topo().all_groups()) {
         const auto& members = c.topo().members(g);
         const Bytes reference =
-            c.world().process_as<ftskeen::FtSkeenReplica>(members.front())
+            c.world().process_as<paxos::GroupReplica>(members.front())
                 .state_snapshot();
         for (const ProcessId p : members) {
-            EXPECT_EQ(c.world().process_as<ftskeen::FtSkeenReplica>(p)
+            EXPECT_EQ(c.world().process_as<paxos::GroupReplica>(p)
                           .state_snapshot(),
                       reference)
                 << "replica " << p << " of group " << g << " diverged";
@@ -198,9 +192,8 @@ TEST(RetentionTest, SeveredFtskeenMemberCatchesUpViaSnapshot) {
     }
     // And every member converged to the same apply point with a bounded log.
     for (const ProcessId p : c.topo().members(0)) {
-        const auto* px = paxos_of(c, ProtocolKind::ftskeen, p);
-        EXPECT_EQ(px->applied_upto(),
-                  paxos_of(c, ProtocolKind::ftskeen, 0)->applied_upto());
+        const auto* px = paxos_of(c, p);
+        EXPECT_EQ(px->applied_upto(), paxos_of(c, 0)->applied_upto());
         EXPECT_LE(px->chosen_count(), 60u);
     }
 }
@@ -228,17 +221,17 @@ TEST(RetentionTest, SeveredFastcastMemberCatchesUpViaSnapshot) {
     for (const GroupId g : c.topo().all_groups()) {
         const auto& members = c.topo().members(g);
         const Bytes reference =
-            c.world().process_as<fastcast::FastCastReplica>(members.front())
+            c.world().process_as<paxos::GroupReplica>(members.front())
                 .state_snapshot();
         for (const ProcessId p : members) {
-            EXPECT_EQ(c.world().process_as<fastcast::FastCastReplica>(p)
+            EXPECT_EQ(c.world().process_as<paxos::GroupReplica>(p)
                           .state_snapshot(),
                       reference)
                 << "replica " << p << " of group " << g << " diverged";
         }
     }
     for (const ProcessId p : c.topo().members(0))
-        EXPECT_LE(paxos_of(c, ProtocolKind::fastcast, p)->chosen_count(), 60u);
+        EXPECT_LE(paxos_of(c, p)->chosen_count(), 60u);
 }
 
 // --- application-log retention: stubs below the delivered floor --------------
@@ -249,7 +242,6 @@ TEST(RetentionTest, SeveredFastcastMemberCatchesUpViaSnapshot) {
 // delivered past outright — must be entry-free and byte-identical across
 // members: its entry count is bounded by a requester's gap, never the run
 // length.
-template <typename Replica>
 void run_app_log_stub_test(ProtocolKind kind, std::uint64_t seed) {
     Cluster c(retention_config(kind, 2, 1, seed));
     constexpr int n = 24;
@@ -263,7 +255,7 @@ void run_app_log_stub_test(ProtocolKind kind, std::uint64_t seed) {
     for (const GroupId g : c.topo().all_groups()) {
         Bytes reference;
         for (const ProcessId p : c.topo().members(g)) {
-            auto& r = c.world().process_as<Replica>(p);
+            auto& r = c.world().process_as<paxos::GroupReplica>(p);
             EXPECT_EQ(r.entry_count(), static_cast<std::size_t>(n))
                 << "replica " << p;
             EXPECT_EQ(r.compacted_count(), static_cast<std::size_t>(n))
@@ -279,12 +271,11 @@ void run_app_log_stub_test(ProtocolKind kind, std::uint64_t seed) {
 }
 
 TEST(RetentionTest, FtskeenAppLogDropsToStubsBelowDeliveryFloor) {
-    run_app_log_stub_test<ftskeen::FtSkeenReplica>(ProtocolKind::ftskeen, 29);
+    run_app_log_stub_test(ProtocolKind::ftskeen, 29);
 }
 
 TEST(RetentionTest, FastcastAppLogDropsToStubsBelowDeliveryFloor) {
-    run_app_log_stub_test<fastcast::FastCastReplica>(ProtocolKind::fastcast,
-                                                     31);
+    run_app_log_stub_test(ProtocolKind::fastcast, 31);
 }
 
 // The app-log GC plane must stay silent on an idle cluster, like the paxos
@@ -345,7 +336,7 @@ TEST_P(RetentionSoak, LogsStayBoundedWhileApplyAdvances) {
                         max_retained = std::max(
                             max_retained, r.entry_count() - r.compacted_count());
                     } else {
-                        const auto* px = paxos_of(c, kind, p);
+                        const auto* px = paxos_of(c, p);
                         max_retained =
                             std::max(max_retained,
                                      static_cast<std::size_t>(px->chosen_count()));
