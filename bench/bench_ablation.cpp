@@ -1,4 +1,4 @@
-// Ablations of the white-box protocol's design choices (DESIGN.md §3):
+// Ablations of the white-box protocol's design choices:
 //
 //  A1  Speculative clock advance (Fig. 4 line 14) on/off: the advance is
 //      what shrinks the convoy window to 2δ; without it the failure-free

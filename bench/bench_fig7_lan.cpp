@@ -2,9 +2,9 @@
 // increasing numbers of closed-loop clients. Setup mirrors the paper's
 // CloudLab deployment: 10 groups x 3 replicas, 20-byte messages, ~0.1 ms
 // round-trip links; clients multicast to a fixed number of groups per
-// panel (1, 2, 4, 6, all 10). The substrate is the calibrated simulator
-// (see DESIGN.md): shapes and protocol ordering are the reproduction
-// target, not absolute msgs/s.
+// panel (1, 2, 4, 6, all 10). The substrate is the simulator with its
+// hand-set cost model (docs/BENCHMARKS.md): shapes and protocol ordering
+// are the reproduction target, not absolute msgs/s.
 #include "bench_load.hpp"
 
 int main(int argc, char** argv) {

@@ -79,9 +79,10 @@ inline ReplicaConfig quiet_replica_config() {
     replica.suspect_timeout = seconds(30);
     replica.retry_interval = seconds(20);
     replica.gc_interval = seconds(1);
-    // Implementation-cost model (calibration in EXPERIMENTS.md): the
-    // black-box baselines drive two consensus commands per message through
-    // a general-purpose engine; the white-box path pays only lightweight
+    // Implementation-cost model, set by hand rather than measured (see
+    // docs/BENCHMARKS.md, "The simulator's cost model"): the black-box
+    // baselines drive two consensus commands per message through a
+    // general-purpose engine; the white-box path pays only lightweight
     // timestamp bookkeeping.
     replica.consensus_cmd_cost = microseconds(12);
     replica.wbcast_multicast_cost = microseconds(10);

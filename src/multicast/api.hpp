@@ -85,7 +85,9 @@ struct ReplicaConfig {
     // Charged at a Paxos leader per consensus command it drives through the
     // engine: the black-box baselines pay it twice per message (once per
     // consensus), which is the overhead the paper's white-box design
-    // removes. Calibration is documented in EXPERIMENTS.md.
+    // removes. The benches set it by hand, not from a measurement (the
+    // values and what they stand for: docs/BENCHMARKS.md, "The simulator's
+    // cost model").
     Duration consensus_cmd_cost = 0;
     // Charged at a wbcast leader when it first timestamps a message, and at
     // every wbcast process per ACCEPT it processes.

@@ -25,6 +25,10 @@ namespace wbam::paxos {
 
 class GroupReplica : public Process {
 public:
+    // The engine and elector callbacks capture `this`.
+    GroupReplica(const GroupReplica&) = delete;
+    GroupReplica& operator=(const GroupReplica&) = delete;
+
     void on_start(Context& ctx) override;
     void on_message(Context& ctx, ProcessId from,
                     const BufferSlice& bytes) override;
