@@ -148,8 +148,9 @@ private:
                          codec::EnvelopeView& env) override;
     void leader_tick(Context& ctx) override;
     void forget_undelivered() override;
-    // Commits replayed above the watermark drain when the leader's floor
-    // re-announces.
+    // A follower's deliveries wait for the leader's DELIVER_FLOOR: replay
+    // only retires the commits the pre-crash process already delivered;
+    // the rest drain when the leader re-announces its floor (every tick).
     void after_replay(Context& ctx) override {
         deliver_upto(ctx, max_delivered_gts_);
     }

@@ -55,7 +55,8 @@ public:
     // when serving below the compaction floor, which can_serve_snapshot
     // refuses) is explicitly flagged, never an invisibly empty payload.
     // The no-arg form strips by this member's own watermark: two quiesced
-    // members produce byte-identical snapshots.
+    // members produce byte-identical snapshots (mid-flight, FastCast
+    // followers' delivered flags lag the leader's by one DELIVER_FLOOR).
     Bytes state_snapshot(Timestamp strip_upto) const;
     Bytes state_snapshot() const { return state_snapshot(max_delivered_gts_); }
     // False when this member holds only payload stubs for entries a
