@@ -250,8 +250,7 @@ void GroupReplica::compact_below(Timestamp floor) {
     // recovery remain correct (mirrors wbcast::compact).
     std::uint64_t n = 0;
     for (auto& [id, e] : entries_) {
-        if (e.phase != Phase::committed || e.compacted) continue;
-        if (e.gts > floor || committed_by_gts_.count(e.gts)) continue;
+        if (!delivered_here(e) || e.compacted || e.gts > floor) continue;
         e.msg.payload = BufferSlice{};
         e.compacted = true;
         ++compacted_count_;
