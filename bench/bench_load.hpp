@@ -17,7 +17,7 @@
 
 namespace wbam::bench {
 
-// Parses --runtime={sim,threaded,net} from the bench argv (falling back to
+// Parses --runtime={sim,net} from the bench argv (falling back to
 // the WBAM_RUNTIME environment variable). Unknown values abort loudly:
 // silently running the wrong runtime would corrupt a figure.
 inline harness::RuntimeKind runtime_from_args(int argc, char** argv) {
@@ -28,7 +28,7 @@ inline harness::RuntimeKind runtime_from_args(int argc, char** argv) {
     if (value == nullptr) return harness::RuntimeKind::sim;
     const auto kind = harness::parse_runtime_kind(value);
     if (!kind) {
-        std::fprintf(stderr, "unknown --runtime=%s (sim|threaded|net)\n",
+        std::fprintf(stderr, "unknown --runtime=%s (sim|net)\n",
                      value);
         std::exit(2);
     }
@@ -36,18 +36,18 @@ inline harness::RuntimeKind runtime_from_args(int argc, char** argv) {
 }
 
 // Parses --net-shards=N (falling back to WBAM_NET_SHARDS). Only the net
-// runtime reads it; 0 = auto (hardware concurrency).
+// runtime reads it; default 1.
 inline int net_shards_from_args(int argc, char** argv) {
     const char* value = std::getenv("WBAM_NET_SHARDS");
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--net-shards=", 13) == 0)
             value = argv[i] + 13;
     }
-    if (value == nullptr) return 0;
+    if (value == nullptr) return 1;
     char* end = nullptr;
     const long n = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || n < 0 || n > 64) {
-        std::fprintf(stderr, "bad --net-shards=%s (range 0..64)\n", value);
+    if (end == value || *end != '\0' || n < 1 || n > 64) {
+        std::fprintf(stderr, "bad --net-shards=%s (range 1..64)\n", value);
         std::exit(2);
     }
     return static_cast<int>(n);
@@ -66,7 +66,7 @@ struct SweepSetup {
     int groups = 10;
     int group_size = 3;
     bool staggered_leaders = false;
-    int net_shards = 0;  // net runtime only; 0 = auto
+    int net_shards = 1;  // net runtime only
     Duration warmup = milliseconds(200);
     std::uint64_t target_ops = 2500;
     Duration min_measure = milliseconds(500);
@@ -110,10 +110,10 @@ inline void run_sweep(const SweepSetup& setup) {
     using harness::RuntimeKind;
     const ProtocolKind kinds[] = {ProtocolKind::wbcast, ProtocolKind::fastcast,
                                   ProtocolKind::ftskeen};
-    // The wall-clock runtimes spawn one OS thread (threaded) or one poll
-    // loop (net) per process: a 1400-client sweep point would be 1430
-    // threads. Cap the client axis so --runtime=threaded/net stays a
-    // sanity-scale run; the full axis is the simulator's job.
+    // The net runtime spawns one poll loop per process: a 1400-client
+    // sweep point would be 1430 threads. Cap the client axis so
+    // --runtime=net stays a sanity-scale run; the full axis is the
+    // simulator's job.
     std::vector<int> client_counts = setup.client_counts;
     if (setup.runtime != RuntimeKind::sim) {
         std::vector<int> capped;
@@ -121,8 +121,8 @@ inline void run_sweep(const SweepSetup& setup) {
             if (c <= 64) capped.push_back(c);
         if (capped.empty()) capped.push_back(16);
         client_counts = capped;
-        std::printf("(runtime=%s: client axis capped at 64 — wall-clock "
-                    "runtimes run one OS thread per process)\n",
+        std::printf("(runtime=%s: client axis capped at 64 — the net "
+                    "runtime runs one OS thread per process)\n",
                     harness::to_string(setup.runtime));
     }
     std::printf("=== %s: latency vs throughput, %d groups x %d replicas, "

@@ -881,11 +881,9 @@ BENCHMARK(BM_SimEventThroughput)->Unit(benchmark::kMillisecond);
 //
 // One closed-loop multicast to both groups of a 2x3 wbcast cluster,
 // measured issue -> delivered by every destination group. The runtime is
-// selected with --runtime={sim,threaded,net} (satellite of the net-runtime
-// PR): sim measures the simulator's wall cost of a virtual round, threaded
-// adds real thread handoffs and injected delays, net runs the identical
-// protocol over loopback TCP sockets — the paper's deployment shape in
-// miniature.
+// selected with --runtime={sim,net}: sim measures the simulator's wall cost
+// of a virtual round, net runs the identical protocol over loopback TCP
+// sockets — the paper's deployment shape in miniature.
 harness::RuntimeKind g_bench_runtime = harness::RuntimeKind::sim;
 
 void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
@@ -911,7 +909,6 @@ void BM_WbcastDeliveryRoundTrip(benchmark::State& state) {
         }
     } else {
         harness::LiveClusterConfig cfg;
-        cfg.runtime = g_bench_runtime;
         cfg.kind = harness::ProtocolKind::wbcast;
         cfg.groups = 2;
         cfg.group_size = 3;
@@ -975,7 +972,7 @@ int main(int argc, char** argv) {
         if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
             const auto kind = wbam::harness::parse_runtime_kind(argv[i] + 10);
             if (!kind) {
-                std::fprintf(stderr, "unknown %s (sim|threaded|net)\n",
+                std::fprintf(stderr, "unknown %s (sim|net)\n",
                              argv[i]);
                 return 2;
             }

@@ -75,7 +75,7 @@ struct CtlOptions {
     double kv_theta = 0.99;
     int kv_read_pct = 50;
     int kv_cross_pct = 10;
-    int net_shards = 0;  // coordinator-side NetWorld shards; 0 = auto
+    int net_shards = 1;  // coordinator-side NetWorld shards
     int fig = 7;
     bool verbose = false;
     // topology generation
@@ -171,7 +171,7 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--measure-ms", &o.measure_ms, 1, 3'600'000) ||
                    int_flag("--sample-ms", &o.sample_ms, 1, 60'000) ||
                    int_flag("--deadline-ms", &o.deadline_ms, 1, 86'400'000) ||
-                   int_flag("--net-shards", &o.net_shards, 0, 64) ||
+                   int_flag("--net-shards", &o.net_shards, 1, 64) ||
                    int_flag("--fig", &o.fig, 7, 8) ||
                    int_flag("--groups", &o.groups, 1, 4096) ||
                    int_flag("--group-size", &o.group_size, 1, 99) ||

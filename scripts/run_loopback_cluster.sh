@@ -7,7 +7,7 @@
 #
 #   scripts/run_loopback_cluster.sh [BUILD_DIR] [PROTO] [MSGS] [NET_SHARDS]
 #
-# NET_SHARDS (default: WBAM_NET_SHARDS or 0 = auto) is passed to every
+# NET_SHARDS (default: WBAM_NET_SHARDS or 1) is passed to every
 # wbamd as --net-shards=N: the transport event-loop shard count.
 #
 # Robustness: ALL child processes (replicas and client) run in the
@@ -24,7 +24,7 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 PROTO=${2:-wbcast}
 MSGS=${3:-25}
-NET_SHARDS=${4:-${WBAM_NET_SHARDS:-0}}
+NET_SHARDS=${4:-${WBAM_NET_SHARDS:-1}}
 NGROUPS=2
 GROUP_SIZE=3
 # Skeen's classic protocol assumes reliable singleton groups.

@@ -579,9 +579,9 @@ def main():
         m.add_argument("--measure-ms", type=int, default=3000)
         m.add_argument("--deadline-slack-ms", type=int, default=30000)
         m.add_argument("--batching", action="store_true")
-        m.add_argument("--net-shards", type=int, default=0,
+        m.add_argument("--net-shards", type=int, default=1,
                        help="transport event-loop shards per process "
-                            "(0 = auto: hardware concurrency)")
+                            "(1..64)")
         m.add_argument("--workload", default="bytes",
                        choices=("bytes", "kv"),
                        help="bytes = opaque-payload microbenchmark; kv = "

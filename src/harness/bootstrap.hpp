@@ -29,9 +29,8 @@ struct NodeOptions {
     // a single-machine deployment; 0 = per-process epoch.
     std::int64_t epoch_ns = 0;
     bool bench = false;  // join the distributed benchmark plane (src/ctrl/)
-    // Transport event-loop shard count (net::NetConfig::shards):
-    // 0 = auto (hardware concurrency).
-    int net_shards = 0;
+    // Transport event-loop shard count (net::NetConfig::shards).
+    int net_shards = 1;
     int run_ms = 6000;
     int msgs = 25;
     int payload = 32;

@@ -11,8 +11,8 @@ namespace wbam::harness {
 
 namespace {
 
-// Wall-clock variant: the same replicas and closed-loop clients on the
-// threaded runtime or on per-process NetWorlds over loopback TCP.
+// Wall-clock variant: the same replicas and closed-loop clients on
+// per-process NetWorlds over loopback TCP.
 ExperimentResult run_experiment_live(const ExperimentConfig& cfg) {
     const Topology topo(cfg.groups, cfg.group_size, cfg.clients,
                         cfg.staggered_leaders);
@@ -29,27 +29,11 @@ ExperimentResult run_experiment_live(const ExperimentConfig& cfg) {
                                                     pattern);
     };
 
-    std::unique_ptr<runtime::ThreadedWorld> threaded;
-    std::vector<std::unique_ptr<net::NetWorld>> nets;
-    auto runtime_now = [&]() -> TimePoint {
-        return threaded ? threaded->now() : nets.front()->now();
-    };
-
-    if (cfg.runtime == RuntimeKind::threaded) {
-        auto delays = cfg.make_delays
-                          ? cfg.make_delays()
-                          : std::make_unique<sim::UniformDelay>(microseconds(50));
-        threaded = std::make_unique<runtime::ThreadedWorld>(
-            topo, std::move(delays), cfg.seed);
-        for (ProcessId p = 0; p < topo.num_processes(); ++p)
-            threaded->add_process(p, factory(p));
-        threaded->start();
-    } else {
-        net::NetConfig base;
-        base.shards = cfg.net_shards;
-        nets = make_loopback_worlds(topo, cfg.seed, factory, base);
-        for (auto& world : nets) world->start();
-    }
+    net::NetConfig base;
+    base.shards = cfg.net_shards;
+    const auto nets = make_loopback_worlds(topo, cfg.seed, factory, base);
+    for (auto& world : nets) world->start();
+    auto runtime_now = [&] { return nets.front()->now(); };
 
     const auto sleep_ns = [](Duration d) {
         std::this_thread::sleep_for(std::chrono::nanoseconds(d));
@@ -69,7 +53,6 @@ ExperimentResult run_experiment_live(const ExperimentConfig& cfg) {
     coordinator.close_window(measure_end);
 
     // Quiesce before reading the unlocked accessors (latency histogram).
-    if (threaded) threaded->shutdown();
     for (auto& world : nets) world->shutdown();
 
     ExperimentResult result;
@@ -97,10 +80,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
     client::BenchCoordinator coordinator(topo);
     DeliverySink sink = coordinator.make_sink();
-    // Keep the failure machinery quiet during failure-free load runs.
-    ReplicaConfig replica = cfg.replica;
     for (ProcessId p = 0; p < topo.num_replicas(); ++p)
-        world.add_process(p, make_replica(cfg.kind, topo, p, sink, replica));
+        world.add_process(p,
+                          make_replica(cfg.kind, topo, p, sink, cfg.replica));
 
     client::LoadPattern pattern;
     pattern.dest_groups = cfg.dest_groups;

@@ -3,8 +3,8 @@
 // attaches closed-loop load clients, runs a warmup phase, then measures
 // throughput and the paper's latency metric over a window. Under
 // RuntimeKind::sim the window is virtual time and the run is
-// deterministic; under threaded/net the same processes run on real
-// threads / real loopback sockets and the window is wall clock.
+// deterministic; under RuntimeKind::net the same processes run on real
+// loopback sockets and the window is wall clock.
 #ifndef WBAM_HARNESS_EXPERIMENT_HPP
 #define WBAM_HARNESS_EXPERIMENT_HPP
 
@@ -23,12 +23,12 @@ struct ExperimentConfig {
     int dest_groups = 1;
     bool staggered_leaders = false;
     std::uint32_t payload = 20;  // bytes, as in the paper
+    // Simulator only (RuntimeKind::sim): link delays and CPU cost model.
     std::function<std::unique_ptr<sim::DelayModel>()> make_delays;
     sim::CpuModel cpu;
     ReplicaConfig replica;
-    // Transport shard count per NetWorld (RuntimeKind::net only):
-    // 0 = auto (hardware concurrency).
-    int net_shards = 0;
+    // Transport shard count per NetWorld (RuntimeKind::net only).
+    int net_shards = 1;
     std::uint64_t seed = 1;
     Duration warmup = milliseconds(200);
     // The measurement window closes once target_ops completions AND
@@ -46,7 +46,7 @@ struct ExperimentResult {
     double p99_ms = 0;
     std::uint64_t ops = 0;
     std::uint64_t events = 0;  // simulator only (0 on wall-clock runtimes)
-    double sim_seconds = 0;    // simulated (sim) or wall-clock (threaded/net)
+    double sim_seconds = 0;    // simulated (sim) or wall-clock (net)
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "sim/network.hpp"
 
 namespace wbam::harness {
 
@@ -38,11 +37,7 @@ LiveCluster::LiveCluster(LiveClusterConfig cfg)
       topo_(cfg_.groups, cfg_.group_size, cfg_.clients,
             cfg_.staggered_leaders),
       next_seq_(static_cast<std::size_t>(topo_.num_processes()), 0) {
-    WBAM_ASSERT_MSG(cfg_.runtime != RuntimeKind::sim,
-                    "LiveCluster drives the wall-clock runtimes; use "
-                    "harness::Cluster for RuntimeKind::sim");
-
-    // The delivery sink runs on replica threads/loops: the log is the one
+    // The delivery sink runs on the replicas' loops: the log is the one
     // shared structure, guarded by log_mutex_.
     const bool send_acks = cfg_.send_acks;
     const Topology topo = topo_;
@@ -69,20 +64,8 @@ LiveCluster::LiveCluster(LiveClusterConfig cfg)
         return client;
     };
 
-    if (cfg_.runtime == RuntimeKind::threaded) {
-        auto delays = cfg_.make_delays
-                          ? cfg_.make_delays()
-                          : std::make_unique<sim::JitterDelay>(
-                                microseconds(200), microseconds(800));
-        threaded_ = std::make_unique<runtime::ThreadedWorld>(
-            topo_, std::move(delays), cfg_.seed);
-        for (ProcessId p = 0; p < topo_.num_processes(); ++p)
-            threaded_->add_process(p, factory(p));
-        threaded_->start();
-    } else {
-        nets_ = make_loopback_worlds(topo_, cfg_.seed, factory, cfg_.net);
-        for (auto& world : nets_) world->start();
-    }
+    nets_ = make_loopback_worlds(topo_, cfg_.seed, factory, cfg_.net);
+    for (auto& world : nets_) world->start();
     running_ = true;
 }
 
@@ -91,16 +74,7 @@ LiveCluster::~LiveCluster() { shutdown(); }
 void LiveCluster::shutdown() {
     if (!running_) return;
     running_ = false;
-    if (threaded_) threaded_->shutdown();
     for (auto& world : nets_) world->shutdown();
-}
-
-void LiveCluster::run_on(ProcessId pid, std::function<void(Context&)> fn) {
-    if (threaded_) {
-        threaded_->run_on(pid, std::move(fn));
-    } else {
-        nets_[static_cast<std::size_t>(pid)]->run_on(pid, std::move(fn));
-    }
 }
 
 MsgId LiveCluster::multicast(int client_idx, std::vector<GroupId> dests,
@@ -115,13 +89,12 @@ MsgId LiveCluster::multicast(int client_idx, std::vector<GroupId> dests,
         // Recorded before the client can possibly send it: note_multicast
         // must precede every note_delivery of m.
         const std::lock_guard<std::mutex> guard(log_mutex_);
-        const TimePoint at =
-            threaded_ ? threaded_->now() : nets_.front()->now();
-        log_.note_multicast(at, pid, m);
+        log_.note_multicast(nets_.front()->now(), pid, m);
         ++issued_;
     }
     ScriptedClient* client = clients_[static_cast<std::size_t>(client_idx)];
-    run_on(pid, [client, m = std::move(m)](Context&) { client->multicast(m); });
+    nets_[static_cast<std::size_t>(pid)]->run_on(
+        pid, [client, m = std::move(m)](Context&) { client->multicast(m); });
     return id;
 }
 

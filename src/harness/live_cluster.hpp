@@ -1,15 +1,14 @@
 // Wall-clock counterpart of harness::Cluster: builds a cluster of any
-// protocol (via the same make_replica factory) on the threaded runtime or
-// the TCP runtime, records every multicast/delivery into a mutex-guarded
-// DeliveryLog, and runs the same specification checker over the run. With
-// RuntimeKind::net the cluster is one NetWorld (own poll loop thread) per
-// ProcessId, wired over loopback TCP on ephemeral ports — the in-process
-// equivalent of the wbamd multi-process deployment.
+// protocol (via the same make_replica factory) on the TCP runtime, records
+// every multicast/delivery into a mutex-guarded DeliveryLog, and runs the
+// same specification checker over the run. The cluster is one NetWorld
+// (own poll loop thread) per ProcessId, wired over loopback TCP on
+// ephemeral ports — the in-process equivalent of the wbamd multi-process
+// deployment.
 //
 // Together with harness::Cluster this closes the matrix: any of the
-// protocols on any of the three runtimes, selected by a single knob
-// (ClusterConfig stays the sim harness; LiveClusterConfig::runtime picks
-// threaded or net).
+// protocols on either runtime (ClusterConfig is the sim harness,
+// LiveClusterConfig the net one).
 #ifndef WBAM_HARNESS_LIVE_CLUSTER_HPP
 #define WBAM_HARNESS_LIVE_CLUSTER_HPP
 
@@ -18,9 +17,7 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "harness/runtime.hpp"
 #include "net/world.hpp"
-#include "runtime/threaded.hpp"
 
 namespace wbam::harness {
 
@@ -34,7 +31,6 @@ std::vector<std::unique_ptr<net::NetWorld>> make_loopback_worlds(
     net::NetConfig base = {});
 
 struct LiveClusterConfig {
-    RuntimeKind runtime = RuntimeKind::threaded;  // threaded | net
     ProtocolKind kind = ProtocolKind::wbcast;
     int groups = 2;
     int group_size = 3;
@@ -43,9 +39,7 @@ struct LiveClusterConfig {
     std::uint64_t seed = 1;
     ReplicaConfig replica;
     Duration client_retry = milliseconds(300);
-    // threaded only: injected delay model (default: 200-1000us jitter).
-    std::function<std::unique_ptr<sim::DelayModel>()> make_delays;
-    // net only: transport knobs (epoch is overridden with a shared one).
+    // Transport knobs (epoch is overridden with a shared one).
     net::NetConfig net;
     bool send_acks = true;
 };
@@ -76,15 +70,13 @@ public:
     // Runs the full specification checker over the recorded run.
     CheckResult check(bool check_termination = true) const;
 
-    // Test hook (net runtime only): severs every live TCP connection; the
-    // next sends re-dial, exercising the reconnect-with-backoff path.
+    // Test hook: severs every live TCP connection; the next sends re-dial,
+    // exercising the reconnect-with-backoff path.
     void drop_net_connections();
 
     void shutdown();
 
 private:
-    void run_on(ProcessId pid, std::function<void(Context&)> fn);
-
     LiveClusterConfig cfg_;
     Topology topo_;
 
@@ -92,7 +84,6 @@ private:
     DeliveryLog log_;
     std::size_t issued_ = 0;
 
-    std::unique_ptr<runtime::ThreadedWorld> threaded_;
     std::vector<std::unique_ptr<net::NetWorld>> nets_;  // one per ProcessId
     std::vector<ScriptedClient*> clients_;
     std::vector<std::uint32_t> next_seq_;

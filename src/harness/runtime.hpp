@@ -1,8 +1,8 @@
 // The runtime knob: every harness entry point (cluster builders, the
-// experiment runner, the figure benches) selects one of the three runtimes
-// — deterministic simulation, real threads with injected delays, or real
-// TCP sockets — with this single enum. Protocols never know which runtime
-// drives them: all three implement the same Process/Context contract.
+// experiment runner, the figure benches) selects one of the two runtimes
+// — deterministic simulation or real TCP sockets — with this single enum.
+// Protocols never know which runtime drives them: both implement the same
+// Process/Context contract.
 #ifndef WBAM_HARNESS_RUNTIME_HPP
 #define WBAM_HARNESS_RUNTIME_HPP
 
@@ -12,15 +12,13 @@
 namespace wbam::harness {
 
 enum class RuntimeKind {
-    sim,       // sim::World — discrete-event, deterministic, virtual time
-    threaded,  // runtime::ThreadedWorld — one thread per process, wall clock
-    net,       // net::NetWorld — poll event loops over loopback/LAN TCP
+    sim,  // sim::World — discrete-event, deterministic, virtual time
+    net,  // net::NetWorld — poll event loops over loopback/LAN TCP
 };
 
 inline const char* to_string(RuntimeKind kind) {
     switch (kind) {
         case RuntimeKind::sim: return "sim";
-        case RuntimeKind::threaded: return "threaded";
         case RuntimeKind::net: return "net";
     }
     return "?";
@@ -28,7 +26,6 @@ inline const char* to_string(RuntimeKind kind) {
 
 inline std::optional<RuntimeKind> parse_runtime_kind(std::string_view s) {
     if (s == "sim") return RuntimeKind::sim;
-    if (s == "threaded") return RuntimeKind::threaded;
     if (s == "net") return RuntimeKind::net;
     return std::nullopt;
 }

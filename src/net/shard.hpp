@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <thread>
 
 #include "common/types.hpp"
 
@@ -48,13 +47,9 @@ inline int shard_for(ProcessId a, ProcessId b, int shards) {
                             static_cast<std::uint64_t>(shards));
 }
 
-// Config knob -> actual loop count. 0 means auto: one loop per hardware
-// thread, clamped to [1, 8] (beyond that the poll loops contend for cores
-// with the protocol work itself). Explicit requests are honored up to 64.
+// Config knob -> actual loop count: requests are honored in [1, 64].
 inline int resolve_shard_count(int requested) {
-    if (requested > 0) return std::min(requested, 64);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<int>(std::clamp(hw, 1u, 8u));
+    return std::clamp(requested, 1, 64);
 }
 
 // Level-triggered wakeup a poll loop sleeps on: eventfd where available,

@@ -1,26 +1,24 @@
 // The TCP runtime: a sharded poll(2) event-loop world whose NetContext
 // implements the same Process/Context contract as the discrete-event
-// simulator and the threaded runtime, but whose channels are real
-// sockets. One NetWorld hosts one or more local processes (one per OS
-// process in a deployed cluster — see examples/wbamd.cpp — or one per
-// ProcessId when an in-process test wires several worlds over loopback)
-// and speaks length-prefixed frames (net/frame.hpp) carrying the exact
-// envelope bytes the in-process runtimes carry.
+// simulator, but whose channels are real sockets. One NetWorld hosts one
+// or more local processes (one per OS process in a deployed cluster — see
+// examples/wbamd.cpp — or one per ProcessId when an in-process test wires
+// several worlds over loopback) and speaks length-prefixed frames
+// (net/frame.hpp) carrying the exact envelope bytes the simulator carries.
 //
-// Sharding (NetConfig::shards, default = hardware concurrency): the
-// world runs N event-loop worker threads. Ownership replaces locking —
-// every connection's state (socket, send queue, reassembler, channel
-// cursors) is owned by exactly one loop thread, chosen by the
-// deterministic pair affinity shard_for(a, b, N) (net/shard.hpp), which
-// is symmetric so a channel and its reverse (data one way, acks back)
-// always share a loop. Each local process is homed on one loop
-// (round-robin): its handlers, timers and run_on() thunks all execute
-// there, preserving the "single-threaded per process" contract. Work
-// crossing shards — a send whose connection another loop owns, a
-// delivery for a process homed elsewhere, an accepted socket whose
-// HELLO names a pair with different affinity — travels through MPSC
-// command mailboxes woken by eventfd/self-pipe; sockets are handed off
-// whole to the owning loop.
+// Sharding (NetConfig::shards, default 1): the world runs N event-loop
+// worker threads. Ownership replaces locking — every connection's state
+// (socket, send queue, reassembler, channel cursors) is owned by exactly
+// one loop thread, chosen by the deterministic pair affinity
+// shard_for(a, b, N) (net/shard.hpp), which is symmetric so a channel and
+// its reverse (data one way, acks back) always share a loop. Each local
+// process is homed on one loop (round-robin): its handlers, timers and
+// run_on() thunks all execute there, preserving the "single-threaded per
+// process" contract. Work crossing shards — a send whose connection
+// another loop owns, a delivery for a process homed elsewhere, an
+// accepted socket whose HELLO names a pair with different affinity —
+// travels through MPSC command mailboxes woken by eventfd/self-pipe;
+// sockets are handed off whole to the owning loop.
 //
 // Zero-copy at the socket boundary: Context::send queues the RETAINED
 // BufferSlice behind an inline stack-built header and the coalescing
@@ -40,14 +38,13 @@
 // everything unacked, in order, and the receiver's channel cursor drops
 // duplicates — so a connection drop DELAYS frames instead of losing
 // them, preserving the reliable-FIFO channel contract of Context::send
-// that the other runtimes provide (and that e.g. wbcast's fire-once
+// that the simulator provides (and that e.g. wbcast's fire-once
 // DELIVER plane depends on). Cumulative ACKs never trigger their own
 // write: they piggyback on the next coalesced flush of the reverse
 // connection, or ride a short delayed-ack timer (NetConfig::ack_delay)
 // when no data is flowing.
 //
-// Graceful-shutdown contract (shared with runtime::ThreadedWorld, see
-// runtime/threaded.hpp): shutdown() first DRAINS — frames already
+// Graceful-shutdown contract: shutdown() first DRAINS — frames already
 // received and local sends already queued are delivered, and outbound
 // queues are flushed to the kernel (bounded by NetConfig::drain_wait) —
 // then joins every loop thread. Quiescence is detected across shards: a
@@ -87,9 +84,9 @@ struct NetConfig {
     // across worlds are coherent; the default (time_point{}) means "this
     // world's construction time".
     std::chrono::steady_clock::time_point epoch{};
-    // Event-loop shard count: 0 = auto (hardware concurrency, clamped to
-    // [1, 8]); explicit values honored up to 64. See net/shard.hpp.
-    int shards = 0;
+    // Event-loop shard count, honored in [1, 64]. One loop measures faster
+    // than several on a 4-core host; see net/shard.hpp.
+    int shards = 1;
     // Coalescing flush budget per writev: iovec entries and bytes.
     int flush_max_iov = 64;
     std::size_t flush_max_bytes = 1 << 20;

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "harness/live_cluster.hpp"
@@ -25,13 +26,11 @@ namespace {
 using harness::LiveCluster;
 using harness::LiveClusterConfig;
 using harness::ProtocolKind;
-using harness::RuntimeKind;
 
 // Wall-clock protocol knobs: fast enough to finish promptly, quiet enough
 // not to trip failure handling on slow sanitizer runs.
 LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
     LiveClusterConfig cfg;
-    cfg.runtime = RuntimeKind::net;
     cfg.kind = kind;
     cfg.groups = 2;
     // Skeen's classic protocol assumes reliable singleton groups.
@@ -46,7 +45,7 @@ LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
 }
 
 void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed,
-                                bool batching = false, int shards = 0) {
+                                bool batching = false, int shards = 1) {
     LiveClusterConfig cfg = net_config(kind, seed);
     cfg.replica.batching_enabled = batching;
     cfg.net.shards = shards;
@@ -87,7 +86,7 @@ TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
 }
 
 // Batch frames must unwrap at the socket boundary exactly as they do on
-// the in-process runtimes.
+// the simulator.
 TEST(NetIntegrationTest, BatchedWbcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::wbcast, 23, /*batching=*/true);
 }
@@ -224,7 +223,7 @@ void run_paxos_over_loopback(std::uint64_t seed, int shards) {
 }
 
 TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogOverLoopbackTcp) {
-    run_paxos_over_loopback(41, /*shards=*/0);
+    run_paxos_over_loopback(41, /*shards=*/1);
 }
 
 TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogAcrossFourShards) {

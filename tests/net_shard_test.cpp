@@ -69,9 +69,6 @@ TEST(ShardAffinityTest, ResolveShardCount) {
     EXPECT_EQ(resolve_shard_count(4), 4);
     EXPECT_EQ(resolve_shard_count(64), 64);
     EXPECT_EQ(resolve_shard_count(100), 64);  // explicit cap
-    const int auto_count = resolve_shard_count(0);
-    EXPECT_GE(auto_count, 1);
-    EXPECT_LE(auto_count, 8);
 }
 
 // --- wake fd + mailbox -------------------------------------------------------

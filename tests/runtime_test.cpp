@@ -1,192 +1,119 @@
-// Smoke tests for the threaded real-time runtime: message delivery, FIFO,
-// timers, and a full wbcast cluster delivering a totally-ordered stream
-// under genuine thread concurrency. No exact-timing assertions (wall-clock
-// scheduling jitter), only ordering and completeness.
+// Runtime-contract smoke tests on the TCP runtime, each process in its own
+// NetWorld over loopback (harness::make_loopback_worlds): FIFO delivery of
+// sends injected with run_on, timers firing and cancelling, and run_on
+// thunks executing in the target's context. No exact-timing assertions
+// (wall-clock scheduling jitter), only ordering and completeness. Full
+// protocol clusters over the same wiring are net_integration_test's job.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
+#include <thread>
 
 #include "harness/live_cluster.hpp"
-#include "multicast/api.hpp"
-#include "runtime/threaded.hpp"
-#include "wbcast/protocol.hpp"
 
-namespace wbam::runtime {
+namespace wbam {
 namespace {
 
 class Echo final : public Process {
 public:
-    void on_start(Context& c) override { ctx = &c; }
-    void on_message(Context& c, ProcessId, const BufferSlice& b) override {
+    void on_start(Context&) override {}
+    void on_message(Context&, ProcessId, const BufferSlice& b) override {
         const std::lock_guard<std::mutex> guard(mutex);
         received.push_back(b);
-        (void)c;
     }
     void on_timer(Context&, TimerId) override { fired.fetch_add(1); }
 
-    Context* ctx = nullptr;
+    std::size_t received_count() {
+        const std::lock_guard<std::mutex> guard(mutex);
+        return received.size();
+    }
+
     std::mutex mutex;
     std::vector<BufferSlice> received;
     std::atomic<int> fired{0};
 };
 
-TEST(ThreadedRuntimeTest, DeliversMessagesFifo) {
-    ThreadedWorld w(Topology(1, 1, 1),
-                    std::make_unique<sim::JitterDelay>(microseconds(100),
-                                                       microseconds(900)));
-    auto a = std::make_unique<Echo>();
-    auto b = std::make_unique<Echo>();
-    Echo* pb = b.get();
-    w.add_process(0, std::move(a));
-    w.add_process(1, std::move(b));
-    w.start();
+// Polls `done` every 5 ms for at most 5 s; true once it holds.
+bool eventually(const std::function<bool()>& done) {
+    for (int spin = 0; spin < 1000; ++spin) {
+        if (done()) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+}
+
+// One Echo per process of `topo`, each in its own started loopback world.
+struct EchoCluster {
+    explicit EchoCluster(const Topology& topo) {
+        worlds = harness::make_loopback_worlds(
+            topo, /*seed=*/1, [this](ProcessId) -> std::unique_ptr<Process> {
+                auto echo = std::make_unique<Echo>();
+                echoes.push_back(echo.get());
+                return echo;
+            });
+        for (const auto& w : worlds) w->start();
+    }
+    ~EchoCluster() { shutdown(); }
+
+    void run_on(ProcessId pid, std::function<void(Context&)> fn) {
+        worlds[static_cast<std::size_t>(pid)]->run_on(pid, std::move(fn));
+    }
+    void shutdown() {
+        for (const auto& w : worlds) w->shutdown();
+    }
+
+    std::vector<Echo*> echoes;
+    std::vector<std::unique_ptr<net::NetWorld>> worlds;
+};
+
+TEST(NetRuntimeTest, DeliversMessagesFifo) {
+    EchoCluster c(Topology(1, 1, 1));
+    Echo* pb = c.echoes[1];
     // External injection goes through run_on: the thunk runs on process
-    // 0's own thread, after its on_start (mailbox FIFO).
-    w.run_on(0, [](Context& ctx) {
+    // 0's own loop, after its on_start.
+    c.run_on(0, [](Context& ctx) {
         for (std::uint8_t i = 0; i < 50; ++i) ctx.send(1, Bytes{i});
     });
-    w.run_for(milliseconds(100));
-    w.shutdown();
+    EXPECT_TRUE(eventually([pb] { return pb->received_count() >= 50; }));
+    c.shutdown();
     ASSERT_EQ(pb->received.size(), 50u);
     for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(pb->received[i], Bytes{i});
 }
 
-TEST(ThreadedRuntimeTest, TimersFireAndCancel) {
-    ThreadedWorld w(Topology(1, 1, 0),
-                    std::make_unique<sim::UniformDelay>(microseconds(100)));
-    auto a = std::make_unique<Echo>();
-    Echo* pa = a.get();
-    w.add_process(0, std::move(a));
-    w.start();
-    w.run_on(0, [](Context& ctx) {
+TEST(NetRuntimeTest, TimersFireAndCancel) {
+    EchoCluster c(Topology(1, 1, 0));
+    Echo* pa = c.echoes[0];
+    c.run_on(0, [](Context& ctx) {
         ctx.set_timer(milliseconds(5));
         const TimerId cancelled = ctx.set_timer(milliseconds(5));
         ctx.cancel_timer(cancelled);
     });
-    w.run_for(milliseconds(100));
-    w.shutdown();
+    EXPECT_TRUE(eventually([pa] { return pa->fired.load() >= 1; }));
+    // Both timers were due at the same instant; give the cancelled one
+    // ample time to (wrongly) fire.
+    c.worlds[0]->run_for(milliseconds(50));
+    c.shutdown();
     EXPECT_EQ(pa->fired.load(), 1);
 }
 
-void run_wbcast_total_order(bool batching) {
-    const Topology topo(2, 3, 1);  // one client slot for the injector
-    ThreadedWorld w(topo, std::make_unique<sim::JitterDelay>(microseconds(200),
-                                                             microseconds(800)));
-    // Shared delivery record (sink runs on replica threads).
-    std::mutex mutex;
-    std::unordered_map<ProcessId, std::vector<MsgId>> delivered;
-    DeliverySink sink = [&](Context& ctx, GroupId, const AppMessage& m) {
-        const std::lock_guard<std::mutex> guard(mutex);
-        delivered[ctx.self()].push_back(m.id);
-    };
-    ReplicaConfig cfg;
-    cfg.heartbeat_interval = milliseconds(50);
-    cfg.suspect_timeout = milliseconds(400);
-    cfg.retry_interval = milliseconds(200);
-    cfg.batching_enabled = batching;
-    std::vector<wbcast::WbcastReplica*> replicas;
-    for (ProcessId p = 0; p < topo.num_replicas(); ++p) {
-        auto r = std::make_unique<wbcast::WbcastReplica>(topo, p, sink, cfg);
-        replicas.push_back(r.get());
-        w.add_process(p, std::move(r));
-    }
-    // A lightweight injector process acting as the client; fired on its
-    // own thread via run_on.
-    class Injector final : public Process {
-    public:
-        explicit Injector(Topology t) : topo(std::move(t)) {}
-        void on_start(Context&) override {}
-        void on_message(Context&, ProcessId, const BufferSlice&) override {}
-        void on_timer(Context&, TimerId) override {}
-        void fire(Context& ctx, int n) {
-            for (int i = 0; i < n; ++i) {
-                const AppMessage m = make_app_message(
-                    make_msg_id(ctx.self(), static_cast<std::uint32_t>(i)),
-                    {0, 1}, Bytes{static_cast<std::uint8_t>(i)});
-                const Buffer wire = encode_multicast_request(m);
-                ctx.send(topo.initial_leader(0), wire);
-                ctx.send(topo.initial_leader(1), wire);
-            }
-        }
-        Topology topo;
-    };
-    auto injector = std::make_unique<Injector>(topo);
-    Injector* inj = injector.get();
-    w.add_process(topo.num_replicas(), std::move(injector));
-    w.start();
-    w.run_for(milliseconds(50));
-    w.run_on(topo.num_replicas(), [inj](Context& ctx) { inj->fire(ctx, 20); });
-    // Wait for every replica to deliver all 20 (bounded wait).
-    bool done = false;
-    for (int spin = 0; spin < 100 && !done; ++spin) {
-        w.run_for(milliseconds(20));
-        const std::lock_guard<std::mutex> guard(mutex);
-        done = true;
-        for (ProcessId p = 0; p < topo.num_replicas(); ++p)
-            done &= delivered[p].size() == 20u;
-    }
-    w.shutdown();
-    ASSERT_TRUE(done) << "not all replicas delivered within the deadline";
-    // Total order: every replica (both groups) delivered the same sequence.
-    const auto& reference = delivered[0];
-    for (ProcessId p = 1; p < topo.num_replicas(); ++p)
-        EXPECT_EQ(delivered[p], reference) << "replica " << p;
-}
-
-TEST(ThreadedRuntimeTest, WbcastClusterDeliversInTotalOrder) {
-    run_wbcast_total_order(/*batching=*/false);
-}
-
-TEST(ThreadedRuntimeTest, BatchedWbcastClusterDeliversInTotalOrder) {
-    run_wbcast_total_order(/*batching=*/true);
-}
-
-// run_on injection delivers the thunk on the target process's own thread,
+// run_on injection delivers the thunk on the target process's own loop,
 // in its context.
-TEST(ThreadedRuntimeTest, RunOnExecutesOnProcessContext) {
-    ThreadedWorld w(Topology(1, 1, 1),
-                    std::make_unique<sim::UniformDelay>(microseconds(100)));
-    w.add_process(0, std::make_unique<Echo>());
-    auto b = std::make_unique<Echo>();
-    Echo* pb = b.get();
-    w.add_process(1, std::move(b));
-    w.start();
+TEST(NetRuntimeTest, RunOnExecutesOnProcessContext) {
+    EchoCluster c(Topology(1, 1, 1));
+    Echo* pb = c.echoes[1];
     std::atomic<ProcessId> seen{invalid_process};
-    w.run_on(1, [&seen](Context& ctx) {
+    c.run_on(1, [&seen](Context& ctx) {
         seen.store(ctx.self());
         ctx.send(ctx.self(), Bytes{0x7e});  // self-send still works
     });
-    for (int spin = 0; spin < 100 && seen.load() != 1; ++spin)
-        w.run_for(milliseconds(5));
-    w.shutdown();
+    EXPECT_TRUE(eventually([pb] { return pb->received_count() >= 1; }));
+    c.shutdown();
     EXPECT_EQ(seen.load(), 1);
-    const std::lock_guard<std::mutex> guard(pb->mutex);
     ASSERT_EQ(pb->received.size(), 1u);
     EXPECT_EQ(pb->received[0], Bytes{0x7e});
 }
 
-// The LiveCluster harness on the threaded runtime: same protocols, same
-// checker, one runtime knob away from sim and net.
-TEST(ThreadedRuntimeTest, LiveClusterWbcastChecksOut) {
-    harness::LiveClusterConfig cfg;
-    cfg.runtime = harness::RuntimeKind::threaded;
-    cfg.kind = harness::ProtocolKind::wbcast;
-    cfg.groups = 2;
-    cfg.group_size = 3;
-    cfg.clients = 1;
-    cfg.replica.heartbeat_interval = milliseconds(50);
-    cfg.replica.suspect_timeout = seconds(30);
-    cfg.replica.retry_interval = milliseconds(200);
-    harness::LiveCluster c(cfg);
-    constexpr int n = 10;
-    for (int i = 0; i < n; ++i) c.multicast(0, {0, 1});
-    ASSERT_TRUE(c.await_completion(seconds(30)));
-    c.shutdown();
-    const auto result = c.check();
-    EXPECT_TRUE(result.ok()) << result.summary();
-    EXPECT_EQ(c.log_snapshot().completed_count(), static_cast<std::size_t>(n));
-}
-
 }  // namespace
-}  // namespace wbam::runtime
+}  // namespace wbam
