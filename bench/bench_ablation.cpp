@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "harness/experiment.hpp"
+#include "bench_load.hpp"
 #include "wbcast/protocol.hpp"
 
 namespace {
@@ -73,27 +73,21 @@ void ablation_group_size() {
     std::printf("%-12s %14s %12s %12s\n", "group size", "msgs/s", "mean ms",
                 "p99 ms");
     for (const int n : {3, 5, 7}) {
-        harness::ExperimentConfig cfg;
-        cfg.kind = ProtocolKind::wbcast;
-        cfg.groups = 10;
+        harness::ExperimentConfig cfg = bench::quiet_experiment();
         cfg.group_size = n;
-        cfg.clients = 400;
-        cfg.dest_groups = 2;
-        cfg.make_delays = [] {
-            return std::make_unique<sim::JitterDelay>(microseconds(40),
-                                                      microseconds(20));
-        };
-        cfg.cpu = sim::CpuModel{.per_message = nanoseconds(300),
-                                .per_byte = nanoseconds(2),
-                                .wakeup = microseconds(3)};
-        cfg.replica = bench::base_config(ProtocolKind::wbcast, 1, 1).replica;
-        cfg.replica.wbcast_multicast_cost = microseconds(10);
-        cfg.replica.wbcast_accept_cost = nanoseconds(500);
-        cfg.target_ops = 2000;
-        cfg.max_measure = seconds(20);
-        const auto r = harness::run_experiment(cfg);
-        std::printf("%-12d %14.0f %12.3f %12.3f\n", n, r.throughput_ops_s,
-                    r.mean_ms, r.p99_ms);
+        cfg.drivers = 400;
+        cfg.make_delays = bench::lan_delays;
+        cfg.spec.dest_groups = 2;
+        cfg.spec.warmup = milliseconds(200);
+        cfg.spec.measure = milliseconds(500);
+        const harness::ExperimentOutcome r = harness::run_experiment(cfg);
+        if (!r.ok) {
+            std::fprintf(stderr, "A3, group size %d: validation FAILED — %s\n",
+                         n, r.error.c_str());
+            std::exit(1);
+        }
+        std::printf("%-12d %14.0f %12.3f %12.3f\n", n,
+                    r.point.throughput_ops_s, r.point.mean_ms, r.point.p99_ms);
     }
     std::printf("Larger groups add quorum traffic (n*d^2 ACCEPTs) but no "
                 "extra rounds:\nlatency stays ~3 delta while per-leader load "

@@ -14,19 +14,11 @@ int main(int argc, char** argv) {
     setup.net_shards = bench::net_shards_from_args(argc, argv);
     setup.name = "Figure 7 (LAN, CloudLab-like)";
     setup.json_tag = "fig7";
-    // ~0.1 ms RTT: one-way 40-60 us.
-    setup.make_delays = [] {
-        return std::make_unique<sim::JitterDelay>(microseconds(40),
-                                                  microseconds(20));
-    };
-    // Per-message CPU cost bounds throughput (serial per-process queueing).
-    setup.cpu = bench::bench_cpu_model();
+    setup.make_delays = bench::lan_delays;
     setup.client_counts = {50, 150, 400, 700, 1000, 1400};
     setup.dest_group_counts = {1, 2, 6, 10};
     setup.warmup = milliseconds(200);
-    setup.target_ops = 1500;
-    setup.min_measure = milliseconds(400);
-    setup.max_measure = seconds(20);
+    setup.measure = milliseconds(400);
     if (bench::quick_mode()) {
         setup.client_counts = {100, 1000};
         setup.dest_group_counts = {1, 6};

@@ -1,7 +1,10 @@
 // Shared load-sweep driver for the Fig. 7 (LAN) and Fig. 8 (WAN)
 // benchmarks: for each protocol and destination-group count, sweeps the
 // number of closed-loop clients and prints (clients, throughput, latency)
-// series — the same series the paper's figures plot.
+// series — the same series the paper's figures plot. Each point is one
+// harness::run_experiment: measured by the benchmark plane's drivers and
+// validated by its coordinator's per-group digest check; a point that
+// fails validation aborts the sweep with the coordinator's reason.
 #ifndef WBAM_BENCH_BENCH_LOAD_HPP
 #define WBAM_BENCH_BENCH_LOAD_HPP
 
@@ -60,7 +63,6 @@ struct SweepSetup {
     const char* json_tag = "";
     harness::RuntimeKind runtime = harness::RuntimeKind::sim;
     std::function<std::unique_ptr<sim::DelayModel>()> make_delays;
-    sim::CpuModel cpu;
     std::vector<int> client_counts;
     std::vector<int> dest_group_counts;
     int groups = 10;
@@ -68,42 +70,44 @@ struct SweepSetup {
     bool staggered_leaders = false;
     int net_shards = 1;  // net runtime only
     Duration warmup = milliseconds(200);
-    std::uint64_t target_ops = 2500;
-    Duration min_measure = milliseconds(500);
-    Duration max_measure = seconds(30);
+    Duration measure = milliseconds(500);  // halved in quick mode
 };
 
-inline ReplicaConfig quiet_replica_config() {
-    ReplicaConfig replica;
-    replica.heartbeat_interval = milliseconds(100);
-    replica.suspect_timeout = seconds(30);
-    replica.retry_interval = seconds(20);
-    replica.gc_interval = seconds(1);
-    // Implementation-cost model, set by hand rather than measured (see
-    // docs/BENCHMARKS.md, "The simulator's cost model"): the black-box
-    // baselines drive two consensus commands per message through a
-    // general-purpose engine; the white-box path pays only lightweight
-    // timestamp bookkeeping.
-    replica.consensus_cmd_cost = microseconds(12);
-    replica.wbcast_multicast_cost = microseconds(10);
-    replica.wbcast_accept_cost = nanoseconds(500);
-    return replica;
+// The figure experiments' common shape: housekeeping kept off the
+// measured path (the spec's distributed replica knobs), clients that
+// retry only when truly stuck, and the simulator's implementation-cost
+// model, set by hand rather than measured (see docs/BENCHMARKS.md, "The
+// simulator's cost model"): the black-box baselines drive two consensus
+// commands per message through a general-purpose engine; the white-box
+// path pays only lightweight timestamp bookkeeping.
+inline harness::ExperimentConfig quiet_experiment() {
+    harness::ExperimentConfig cfg;
+    cfg.spec.heartbeat_interval = milliseconds(100);
+    cfg.spec.suspect_timeout = seconds(30);
+    cfg.spec.retry_interval = seconds(20);
+    cfg.spec.client_retry = seconds(2);
+    // A driver reports DRIVER_DONE on its first sample tick after the
+    // window closes; a short tick keeps the loaded tail past it short.
+    cfg.spec.sample_interval = milliseconds(50);
+    cfg.replica.gc_interval = seconds(1);
+    cfg.replica.consensus_cmd_cost = microseconds(12);
+    cfg.replica.wbcast_multicast_cost = microseconds(10);
+    cfg.replica.wbcast_accept_cost = nanoseconds(500);
+    cfg.cpu = sim::CpuModel{.per_message = nanoseconds(300),
+                            .per_byte = nanoseconds(2),
+                            .wakeup = microseconds(3)};
+    return cfg;
 }
 
-inline sim::CpuModel bench_cpu_model() {
-    return sim::CpuModel{.per_message = nanoseconds(300),
-                         .per_byte = nanoseconds(2),
-                         .wakeup = microseconds(3)};
+// The LAN of Fig. 7: ~0.1 ms RTT, one-way 40-60 us.
+inline std::unique_ptr<sim::DelayModel> lan_delays() {
+    return std::make_unique<sim::JitterDelay>(microseconds(40),
+                                              microseconds(20));
 }
 
 // True when the environment asks for a reduced sweep (used while iterating
 // on the code; the full run is the default).
 inline bool quick_mode() { return std::getenv("WBAM_BENCH_QUICK") != nullptr; }
-
-struct SweepPoint {
-    int clients = 0;
-    harness::ExperimentResult result;
-};
 
 inline void run_sweep(const SweepSetup& setup) {
     using harness::ProtocolKind;
@@ -130,7 +134,7 @@ inline void run_sweep(const SweepSetup& setup) {
                 setup.name, setup.groups, setup.group_size,
                 harness::to_string(setup.runtime));
     // protocol -> d -> points; kept for the cross-protocol summary.
-    std::map<int, std::map<int, std::vector<SweepPoint>>> all;
+    std::map<int, std::map<int, std::vector<harness::FigPoint>>> all;
     for (const ProtocolKind kind : kinds) {
         for (const int d : setup.dest_group_counts) {
             std::printf("\n-- %s, multicast to %d group(s) --\n",
@@ -138,35 +142,41 @@ inline void run_sweep(const SweepSetup& setup) {
             std::printf("%8s %16s %14s %12s %12s\n", "clients", "msgs/s",
                         "mean ms", "p50 ms", "p99 ms");
             for (const int clients : client_counts) {
-                harness::ExperimentConfig cfg;
+                harness::ExperimentConfig cfg = quiet_experiment();
                 cfg.runtime = setup.runtime;
-                cfg.kind = kind;
                 cfg.groups = setup.groups;
                 cfg.group_size = setup.group_size;
-                cfg.clients = clients;
-                cfg.dest_groups = d;
+                cfg.drivers = clients;  // one session each
                 cfg.staggered_leaders = setup.staggered_leaders;
                 cfg.make_delays = setup.make_delays;
-                cfg.cpu = setup.cpu;
-                cfg.replica = quiet_replica_config();
-                cfg.net_shards = setup.net_shards;
-                cfg.seed = static_cast<std::uint64_t>(clients) * 31 +
-                           static_cast<std::uint64_t>(d);
-                cfg.warmup = setup.warmup;
-                cfg.target_ops = quick_mode() ? setup.target_ops / 5
-                                              : setup.target_ops;
-                cfg.min_measure = quick_mode() ? setup.min_measure / 2
-                                               : setup.min_measure;
-                cfg.max_measure = setup.max_measure;
-                const auto r = harness::run_experiment(cfg);
-                std::printf("%8d %16.0f %14.3f %12.3f %12.3f\n", clients,
-                            r.throughput_ops_s, r.mean_ms, r.p50_ms, r.p99_ms);
-                all[static_cast<int>(kind)][d].push_back(SweepPoint{clients, r});
+                cfg.spec.proto = kind;
+                cfg.spec.net_shards =
+                    static_cast<std::uint32_t>(setup.net_shards);
+                cfg.spec.dest_groups = static_cast<std::uint32_t>(d);
+                cfg.spec.seed = static_cast<std::uint64_t>(clients) * 31 +
+                                static_cast<std::uint64_t>(d);
+                cfg.spec.warmup = setup.warmup;
+                cfg.spec.measure =
+                    quick_mode() ? setup.measure / 2 : setup.measure;
+                const harness::ExperimentOutcome r =
+                    harness::run_experiment(cfg);
+                if (!r.ok) {
+                    std::fprintf(stderr,
+                                 "%s, %d group(s), %d clients: validation "
+                                 "FAILED — %s\n",
+                                 harness::to_string(kind), d, clients,
+                                 r.error.c_str());
+                    std::exit(1);
+                }
+                const harness::FigPoint& p = r.point;
+                std::printf("%8d %16.0f %14.3f %12.3f %12.3f\n", p.clients,
+                            p.throughput_ops_s, p.mean_ms, p.p50_ms, p.p99_ms);
+                all[static_cast<int>(kind)][d].push_back(p);
             }
         }
     }
-    // The merged BENCH_fig7/fig8 JSON (same schema as the distributed
-    // coordinator's — docs/BENCHMARKS.md).
+    // The merged BENCH_fig7/fig8 JSON (same schema as `wbamctl run` —
+    // docs/BENCHMARKS.md).
     if (setup.json_tag[0] != '\0') {
         harness::FigReport report;
         report.bench = setup.json_tag;
@@ -181,10 +191,7 @@ inline void run_sweep(const SweepSetup& setup) {
                 harness::FigSeries series;
                 series.protocol = harness::to_string(kind);
                 series.dest_groups = d;
-                for (const SweepPoint& p : all[static_cast<int>(kind)][d])
-                    series.points.push_back(harness::FigPoint{
-                        p.clients, p.result.throughput_ops_s, p.result.mean_ms,
-                        p.result.p50_ms, p.result.p99_ms, p.result.ops});
+                series.points = all[static_cast<int>(kind)][d];
                 report.series.push_back(std::move(series));
             }
         }
@@ -199,22 +206,17 @@ inline void run_sweep(const SweepSetup& setup) {
     std::printf("\n-- comparison at 1000 clients (WbCast vs FastCast) --\n");
     std::printf("%8s %22s %22s\n", "dests", "throughput ratio", "latency ratio");
     for (const int d : setup.dest_group_counts) {
-        const auto& wb = all[static_cast<int>(harness::ProtocolKind::wbcast)][d];
-        const auto& fc =
-            all[static_cast<int>(harness::ProtocolKind::fastcast)][d];
-        const SweepPoint* wb_pt = nullptr;
-        const SweepPoint* fc_pt = nullptr;
-        for (const auto& p : wb)
-            if (p.clients == 1000) wb_pt = &p;
-        for (const auto& p : fc)
-            if (p.clients == 1000) fc_pt = &p;
-        if (!wb_pt || !fc_pt || fc_pt->result.throughput_ops_s <= 0 ||
-            wb_pt->result.mean_ms <= 0)
+        const harness::FigPoint* wb = nullptr;
+        const harness::FigPoint* fc = nullptr;
+        for (const auto& p : all[static_cast<int>(ProtocolKind::wbcast)][d])
+            if (p.clients == 1000) wb = &p;
+        for (const auto& p : all[static_cast<int>(ProtocolKind::fastcast)][d])
+            if (p.clients == 1000) fc = &p;
+        if (!wb || !fc || fc->throughput_ops_s <= 0 || wb->mean_ms <= 0)
             continue;
         std::printf("%8d %21.2fx %21.2fx\n", d,
-                    wb_pt->result.throughput_ops_s /
-                        fc_pt->result.throughput_ops_s,
-                    fc_pt->result.mean_ms / wb_pt->result.mean_ms);
+                    wb->throughput_ops_s / fc->throughput_ops_s,
+                    fc->mean_ms / wb->mean_ms);
     }
 }
 

@@ -17,13 +17,13 @@
 //     sequence, and writes the merged BENCH_fig7/fig8-schema JSON.
 //     Exit 0 only on a validated run.
 //
-//   wbamctl sim --topology=FILE [same workload flags] [--clients=N]
-//               [--target-ops=2000] [--out=...]
+//   wbamctl sim --topology=FILE [same flags as run]
 //
-//     Runs the SAME topology file through the deterministic simulator
-//     (sim::LinkMatrixDelay built from the file's owd matrix) and emits
-//     the same JSON schema — the simulated prediction of the deployed
-//     run. All client pids drive load (no coordinator seat in-process).
+//     Runs the deployed run's exact twin on the deterministic simulator:
+//     the same spec, drivers and coordinator seat, with the file's owd
+//     matrix as sim::LinkMatrixDelay. Emits the same JSON schema — the
+//     simulated prediction of the deployed run — and exits 0 only on a
+//     validated run.
 //
 //   wbamctl topology [--groups=2] [--group-size=3] [--gen-clients=3]
 //                    [--regions=2] [--local=100us] [--cross=20ms]
@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/log.hpp"
@@ -59,17 +60,15 @@ struct CtlOptions {
     harness::ProtocolKind proto = harness::ProtocolKind::wbcast;
     int dest_groups = 1;
     int sessions = 4;
-    int clients = 0;  // sim only; 0 = the topology file's client count
     int payload = 20;
     int warmup_ms = 500;
     int measure_ms = 3000;
     int sample_ms = 250;
     int deadline_ms = 120'000;
-    std::uint64_t target_ops = 2000;  // sim only
     std::uint64_t seed = 1;
     bool batching = false;
     std::int64_t epoch_ns = 0;
-    // Scale-out KV workload (run only; the sim path keeps opaque payloads)
+    // Scale-out KV workload
     ctrl::WorkloadKind workload = ctrl::WorkloadKind::bytes;
     int kv_keys = 1000;
     double kv_theta = 0.99;
@@ -137,8 +136,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
             o.proto = *kind;
         } else if ((v = flag_value(argv[i], "--seed"))) {
             o.seed = std::strtoull(v, nullptr, 10);
-        } else if ((v = flag_value(argv[i], "--target-ops"))) {
-            o.target_ops = std::strtoull(v, nullptr, 10);
         } else if ((v = flag_value(argv[i], "--epoch-ns"))) {
             o.epoch_ns = static_cast<std::int64_t>(
                 std::strtoull(v, nullptr, 10));
@@ -165,7 +162,6 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--kv-cross-pct", &o.kv_cross_pct, 0, 100) ||
                    int_flag("--dest-groups", &o.dest_groups, 1, 4096) ||
                    int_flag("--sessions", &o.sessions, 1, 1 << 16) ||
-                   int_flag("--clients", &o.clients, 0, 1 << 20) ||
                    int_flag("--payload", &o.payload, 0, 4 << 20) ||
                    int_flag("--warmup-ms", &o.warmup_ms, 0, 3'600'000) ||
                    int_flag("--measure-ms", &o.measure_ms, 1, 3'600'000) ||
@@ -243,30 +239,42 @@ std::string default_out(const CtlOptions& o) {
                : o.out;
 }
 
-int cmd_run(const CtlOptions& o) {
+// The topology file of a measured run (run or sim), checked along with
+// the flags both share; nullopt after printing why.
+std::optional<harness::TopologySpec> load_bench_topology(const CtlOptions& o,
+                                                         const char* cmd) {
     if (o.topology_file.empty()) {
-        std::fprintf(stderr, "wbamctl run: --topology=FILE is required\n");
-        return 2;
+        std::fprintf(stderr, "wbamctl %s: --topology=FILE is required\n",
+                     cmd);
+        return std::nullopt;
     }
     if (o.kv_read_pct + o.kv_cross_pct > 100) {
         std::fprintf(stderr,
-                     "wbamctl run: --kv-read-pct + --kv-cross-pct "
-                     "must not exceed 100\n");
-        return 2;
+                     "wbamctl %s: --kv-read-pct + --kv-cross-pct "
+                     "must not exceed 100\n",
+                     cmd);
+        return std::nullopt;
     }
     std::string error;
-    const auto spec = harness::TopologySpec::load(o.topology_file, &error);
+    auto spec = harness::TopologySpec::load(o.topology_file, &error);
     if (!spec) {
         std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
-        return 2;
+        return std::nullopt;
     }
-    const Topology topo = spec->topology();
-    if (topo.num_clients() < 2) {
+    if (spec->clients < 2) {
         std::fprintf(stderr,
-                     "wbamctl run: topology needs >= 2 client pids "
-                     "(drivers + the coordinator seat)\n");
-        return 2;
+                     "wbamctl %s: topology needs >= 2 client pids "
+                     "(drivers + the coordinator seat)\n",
+                     cmd);
+        return std::nullopt;
     }
+    return spec;
+}
+
+int cmd_run(const CtlOptions& o) {
+    const auto spec = load_bench_topology(o, "run");
+    if (!spec) return 2;
+    const Topology topo = spec->topology();
     const ProcessId self = topo.client(topo.num_clients() - 1);
 
     ctrl::CoordinatorConfig ccfg;
@@ -392,63 +400,36 @@ int cmd_run(const CtlOptions& o) {
 }
 
 int cmd_sim(const CtlOptions& o) {
-    if (o.topology_file.empty()) {
-        std::fprintf(stderr, "wbamctl sim: --topology=FILE is required\n");
-        return 2;
-    }
-    if (o.workload == ctrl::WorkloadKind::kv) {
-        std::fprintf(stderr,
-                     "wbamctl sim: --workload=kv is only supported by "
-                     "'run' (the sim sweep drives opaque payloads; the KV "
-                     "conservation tests cover the simulated store)\n");
-        return 2;
-    }
-    std::string error;
-    const auto spec = harness::TopologySpec::load(o.topology_file, &error);
-    if (!spec) {
-        std::fprintf(stderr, "wbamctl: %s\n", error.c_str());
-        return 2;
-    }
+    const auto spec = load_bench_topology(o, "sim");
+    if (!spec) return 2;
     harness::ExperimentConfig cfg;
-    cfg.runtime = harness::RuntimeKind::sim;
-    cfg.kind = o.proto;
     cfg.groups = spec->groups;
     cfg.group_size = spec->group_size;
-    // The sim has no coordinator seat: every client pid drives load. A
-    // --clients override would change the process count and invalidate
-    // the file's per-process region table, so it is rejected here.
-    if (o.clients != 0 && o.clients != spec->clients) {
-        std::fprintf(stderr,
-                     "wbamctl sim: --clients=%d conflicts with the topology "
-                     "file's %d client pids (regions are per-process)\n",
-                     o.clients, spec->clients);
-        return 2;
-    }
-    cfg.clients = spec->clients;
+    cfg.drivers = spec->clients - 1;  // the last client pid coordinates
     cfg.staggered_leaders = spec->staggered_leaders;
-    cfg.dest_groups = o.dest_groups;
-    cfg.payload = static_cast<std::uint32_t>(o.payload);
-    cfg.make_delays = [spec] { return spec->delay_model(); };
-    cfg.seed = o.seed;
-    cfg.warmup = milliseconds(o.warmup_ms);
-    cfg.target_ops = o.target_ops;
-    cfg.min_measure = milliseconds(o.measure_ms);
-    const auto r = harness::run_experiment(cfg);
+    cfg.spec = spec_from(o);
+    cfg.make_delays = [&spec] { return spec->delay_model(); };
+    const harness::ExperimentOutcome r = harness::run_experiment(cfg);
+    if (!r.ok) {
+        std::fprintf(stderr, "wbamctl sim: FAILED — %s\n", r.error.c_str());
+        return 1;
+    }
 
     harness::FigReport report = report_skeleton(o, *spec, "sim");
     harness::FigSeries series;
     series.protocol = harness::to_string(o.proto);
     series.dest_groups = o.dest_groups;
-    series.points.push_back(harness::FigPoint{
-        spec->clients, r.throughput_ops_s, r.mean_ms, r.p50_ms, r.p99_ms,
-        r.ops});
+    series.points.push_back(r.point);
     report.series.push_back(std::move(series));
     const std::string out = default_out(o);
     if (!report.write(out)) return 1;
-    std::printf("wbamctl sim: %d clients: %.0f ops/s, mean %.2f ms, "
-                "p50 %.2f ms, p99 %.2f ms -> %s\n",
-                spec->clients, r.throughput_ops_s, r.mean_ms, r.p50_ms,
-                r.p99_ms, out.c_str());
+    const harness::FigPoint& pt = r.point;
+    std::printf("wbamctl sim: OK — %d sessions on %d drivers: %.0f ops/s, "
+                "mean %.2f ms, p50 %.2f ms, p99 %.2f ms (%llu ops; delivery "
+                "sequences validated) -> %s\n",
+                pt.clients, cfg.drivers, pt.throughput_ops_s, pt.mean_ms,
+                pt.p50_ms, pt.p99_ms, static_cast<unsigned long long>(pt.ops),
+                out.c_str());
     return 0;
 }
 

@@ -304,9 +304,10 @@ int main(int argc, char** argv) {
             return 2;
         }
         if (topo.is_replica(o.pid)) {
+            ReplicaConfig base;
+            if (wal_log) base.wal = &*wal_log;
             auto proc = std::make_unique<ctrl::NodeShim>(
-                topo, o.pid, coordinator_pid, &done,
-                wal_log ? &*wal_log : nullptr);
+                topo, o.pid, coordinator_pid, &done, base);
             shim = proc.get();
             world.add_process(o.pid, std::move(proc), boot->map.of(o.pid).port);
         } else {

@@ -3,14 +3,15 @@
 // destination group — the paper's client-perceived latency metric, §II)
 // and accumulates completion samples over a measurement window, both into
 // a local histogram and into a drainable queue of raw samples that the
-// distributed control plane streams to the coordinator (SAMPLE messages,
-// src/ctrl/). The in-process BenchCoordinator and the distributed
-// ctrl::BenchDriver are both built on this class, so the two paths measure
-// with identical rules.
+// control plane streams to the coordinator (SAMPLE messages, src/ctrl/).
+// ctrl::BenchDriver hosts it next to its client sessions, and every
+// measured run — deployed (`wbamctl run`) or in-process
+// (harness::run_experiment) — goes through that driver, so all of them
+// stop the clock at the same point: the driver's receipt of the last
+// destination group's deliver-ack.
 #ifndef WBAM_CLIENT_LATENCY_SAMPLER_HPP
 #define WBAM_CLIENT_LATENCY_SAMPLER_HPP
 
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -21,10 +22,8 @@
 
 namespace wbam::client {
 
-// Thread-safe: deliveries may be noted from replica threads and issues
-// from client threads on the wall-clock runtimes; under the simulator the
-// uncontended lock is noise. latency() is a snapshot accessor for a
-// quiesced run — read it after the world has shut down.
+// Single-threaded: the hosting driver's execution context calls every
+// method.
 class LatencySampler {
 public:
     // Outcome of one observed (message, group) delivery.
@@ -37,13 +36,11 @@ public:
         Pending p;
         p.issued = at;
         p.remaining = static_cast<std::uint32_t>(ngroups);
-        const std::lock_guard<std::mutex> guard(mutex_);
         pending_.emplace(id, std::move(p));
     }
 
     Delivery note_group_delivery(MsgId id, GroupId group, TimePoint now) {
         Delivery d;
-        const std::lock_guard<std::mutex> guard(mutex_);
         const auto it = pending_.find(id);
         if (it == pending_.end()) return d;  // duplicate after completion
         Pending& p = it->second;
@@ -66,7 +63,6 @@ public:
     // Latency samples are recorded for operations that COMPLETE within
     // [start, end).
     void set_window(TimePoint start, TimePoint end) {
-        const std::lock_guard<std::mutex> guard(mutex_);
         window_start_ = start;
         window_end_ = end;
         completed_in_window_ = 0;
@@ -74,36 +70,18 @@ public:
         samples_.clear();
     }
 
-    // Closes an open-ended window at `end`, preserving what it counted.
-    // Completions after this point no longer count or record samples.
-    void close_window(TimePoint end) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        window_end_ = end;
-    }
-
     // Raw samples accumulated since the last drain (streamed to the
-    // coordinator by the distributed driver; the merged histogram then
+    // coordinator by the driver; the merged histogram then
     // sees every individual sample, so merged percentiles are exact).
     std::vector<Duration> drain_samples() {
-        const std::lock_guard<std::mutex> guard(mutex_);
         std::vector<Duration> out;
         out.swap(samples_);
         return out;
     }
 
     const stats::Histogram& latency() const { return latency_; }
-    std::uint64_t completed_in_window() const {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return completed_in_window_;
-    }
-    std::uint64_t completed_total() const {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return completed_total_;
-    }
-    std::size_t outstanding() const {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return pending_.size();
-    }
+    std::uint64_t completed_in_window() const { return completed_in_window_; }
+    std::uint64_t completed_total() const { return completed_total_; }
 
 private:
     struct Pending {
@@ -112,7 +90,6 @@ private:
         std::unordered_set<GroupId> seen;
     };
 
-    mutable std::mutex mutex_;
     std::unordered_map<MsgId, Pending> pending_;
     stats::Histogram latency_;
     std::vector<Duration> samples_;

@@ -19,18 +19,18 @@ constexpr Duration tick_interval = milliseconds(50);
 // --- NodeShim ----------------------------------------------------------------
 
 NodeShim::NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
-                   std::atomic<bool>* shutdown_flag, wal::Log* wal)
+                   std::atomic<bool>* shutdown_flag, ReplicaConfig base)
     : topo_(std::move(topo)), self_(self), coordinator_(coordinator),
-      shutdown_flag_(shutdown_flag), wal_(wal) {
+      shutdown_flag_(shutdown_flag), base_(std::move(base)) {
     WBAM_ASSERT(topo_.is_replica(self_));
-    if (wal_ == nullptr) return;
+    if (base_.wal == nullptr) return;
     // Rebuild the pre-crash delivery sequence from our own records. The
     // shim's record for a delivery lands AFTER the protocol's watermark in
     // the same commit batch, so everything the replica's replay will
     // suppress as already-delivered is present here, and everything it
     // re-emits (above its durable watermark) is absent — the replayed_ set
     // only guards the rare torn batch in between.
-    for (const wal::Record& r : wal_->recovered()) {
+    for (const wal::Record& r : base_.wal->recovered()) {
         if (r.type != wal::tag(wal::RecordType::app_delivered)) continue;
         const MsgId id = wal::decode_app_delivered(r.body);
         if (!replayed_.insert(id).second) continue;  // tolerate duplicates
@@ -103,8 +103,8 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                             // Rides the inner replica's commit batch (the
                             // protocols commit at their dispatch exits);
                             // a no-op while its WAL replay re-emits.
-                            if (wal_ != nullptr)
-                                wal_->append(
+                            if (base_.wal != nullptr)
+                                base_.wal->append(
                                     wal::tag(wal::RecordType::app_delivered),
                                     wal::encode_app_delivered(m.id));
                         }
@@ -113,23 +113,21 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                     if (topo_.is_client(origin))
                         c.send(origin, encode_deliver_ack(group, m.id));
                 };
-                ReplicaConfig rc = spec.replica_config();
-                rc.wal = wal_;
                 inner_ = harness::make_replica(spec.proto, topo_, self_, sink,
-                                               rc);
+                                               spec.replica_config(base_));
                 const std::size_t restored = deliveries_.size();
                 inner_->on_start(ctx);
-                if (wal_ != nullptr) {
+                if (base_.wal != nullptr) {
                     // Deliveries the replica's WAL replay re-emitted (above
                     // its durable watermark) reached the sink while append
                     // was a replay no-op: re-append them now so the log
                     // stays complete across a second crash.
                     const std::lock_guard<std::mutex> guard(deliveries_mutex_);
                     for (std::size_t i = restored; i < deliveries_.size(); ++i)
-                        wal_->append(
+                        base_.wal->append(
                             wal::tag(wal::RecordType::app_delivered),
                             wal::encode_app_delivered(deliveries_[i]));
-                    wal_->commit();
+                    base_.wal->commit();
                 }
                 for (auto& [from, mail] : early_mail_)
                     inner_->on_message(ctx, from, mail);
@@ -426,6 +424,9 @@ void Coordinator::handle_ctrl(Context& ctx, ProcessId from,
             driver_done_[from] = DriverDoneMsg::decode(env.body);
             if (phase_ == Phase::measuring &&
                 static_cast<int>(driver_done_.size()) == drivers_) {
+                // Every window has closed: stop the load so the replicas
+                // settle and answer REPORT with converged digests.
+                shutdown_drivers(ctx);
                 phase_ = Phase::quiescing;
                 quiesce_until_ = ctx.now() + cfg_.quiesce;
             }
@@ -479,6 +480,13 @@ void Coordinator::on_timer(Context& ctx, TimerId id) {
     }
 }
 
+void Coordinator::shutdown_drivers(Context& ctx) {
+    if (drivers_shut_down_) return;
+    drivers_shut_down_ = true;
+    const Buffer wire = encode_ctrl(CtrlMsgType::shutdown);
+    for (int i = 0; i < drivers_; ++i) ctx.send(topo_.client(i), wire);
+}
+
 void Coordinator::send_report(Context& ctx) {
     ++report_attempts_made_;
     next_report_at_ = 0;
@@ -510,7 +518,6 @@ bool Coordinator::validate_groups(std::string* why) const {
 }
 
 void Coordinator::finish(Context& ctx) {
-    phase_ = Phase::done;
     ok_ = true;
     // Fold the final (digest-validated) snapshots: re-polled replicas
     // overwrote their earlier REPLICA_DONE, so each replica contributes
@@ -523,15 +530,20 @@ void Coordinator::finish(Context& ctx) {
             if (!fresh) it->second.merge(h);
         }
     }
-    broadcast(ctx, encode_ctrl(CtrlMsgType::shutdown));
-    finished_.store(true);
+    end_run(ctx);
 }
 
 void Coordinator::fail(Context& ctx, const std::string& why) {
-    phase_ = Phase::done;
     ok_ = false;
     error_ = why;
-    broadcast(ctx, encode_ctrl(CtrlMsgType::shutdown));
+    end_run(ctx);
+}
+
+void Coordinator::end_run(Context& ctx) {
+    phase_ = Phase::done;
+    shutdown_drivers(ctx);  // no-op once the last DRIVER_DONE stopped them
+    const Buffer wire = encode_ctrl(CtrlMsgType::shutdown);
+    for (ProcessId p = 0; p < topo_.num_replicas(); ++p) ctx.send(p, wire);
     finished_.store(true);
 }
 

@@ -1,11 +1,13 @@
-// The distributed benchmark plane: the processes that turn a deployed
+// The benchmark plane: the processes that turn a cluster into a
+// measurement instrument producing the BENCH_fig7/fig8 JSON. A deployed
 // wbamd cluster (real OS processes over TCP — loopback, netns-emulated
-// WAN, or real hosts) into a measurement instrument producing the same
-// BENCH_fig7/fig8 JSON as the simulated sweeps.
+// WAN, or real hosts) runs them under wbamctl; harness::run_experiment
+// runs the same processes in-process on the simulator or on loopback
+// NetWorlds, so every figure point is measured and validated alike.
 //
-// Three roles, all ordinary Process implementations on the net runtime
-// (so the control plane inherits the transport's reliable-FIFO channels
-// and reconnect behaviour for free):
+// Three roles, all ordinary Process implementations (so the control plane
+// inherits the runtime's reliable-FIFO channels — and, on the net
+// runtime, its reconnect behaviour — for free):
 //
 //   * NodeShim    — wraps a replica. Starts bare; instantiates the actual
 //                   protocol stack only when the coordinator's RUN_SPEC
@@ -20,13 +22,15 @@
 //                   window and reports final counters (DRIVER_DONE).
 //                   Keeps applying load after its window closes so other
 //                   drivers measure under full contention; stops at
-//                   SHUTDOWN.
+//                   SHUTDOWN, which the coordinator sends once every
+//                   driver's window has closed.
 //   * Coordinator — distributes the BenchSpec, opens the measurement
 //                   window (absolute timepoints when the deployment
 //                   shares a clock epoch), merges streamed samples into
-//                   one histogram (exact merged percentiles), validates
-//                   that every replica group agrees on its delivery
-//                   sequence, and exposes the merged FigReport point.
+//                   one histogram (exact merged percentiles), stops the
+//                   load, validates that every replica group agrees on
+//                   its delivery sequence, and exposes the merged
+//                   FigReport point.
 //
 // The message exchange is documented in ctrl/messages.hpp; the file
 // format and deployment modes in docs/DEPLOYMENT.md.
@@ -57,14 +61,16 @@ namespace wbam::ctrl {
 class NodeShim final : public Process {
 public:
     // `shutdown_flag` is set (from the loop thread) when the coordinator
-    // orders SHUTDOWN; the hosting main loop polls it to exit. `wal`, when
-    // given, is shared with the inner replica: the shim appends an
+    // orders SHUTDOWN; the hosting main loop polls it to exit. `base` is
+    // the inner replica's configuration under the spec's distributed knobs
+    // (BenchSpec::replica_config): the simulator's cost model, GC, and the
+    // WAL. `base.wal`, when given, is also the shim's: it appends an
     // app_delivered record per delivery (riding the protocol's commit
     // batches) and rebuilds its delivery sequence + digest from the
     // recovered records on restart, so a kill -9'd node reports the FULL
     // run in its REPLICA_DONE digest, not just the post-restart suffix.
     NodeShim(Topology topo, ProcessId self, ProcessId coordinator,
-             std::atomic<bool>* shutdown_flag, wal::Log* wal = nullptr);
+             std::atomic<bool>* shutdown_flag, ReplicaConfig base = {});
 
     void on_start(Context& ctx) override;
     void on_message(Context& ctx, ProcessId from,
@@ -90,7 +96,7 @@ private:
     ProcessId self_;
     ProcessId coordinator_;
     std::atomic<bool>* shutdown_flag_;
-    wal::Log* wal_;
+    ReplicaConfig base_;
     // Ids restored from the WAL: if the inner replica's replay re-emits
     // one (at-least-once above its durable watermark), the sink drops the
     // duplicate instead of double-counting it.
@@ -125,8 +131,6 @@ public:
     void on_message(Context& ctx, ProcessId from,
                     const BufferSlice& bytes) override;
     void on_timer(Context& ctx, TimerId id) override;
-
-    const client::LatencySampler& sampler() const { return sampler_; }
 
 private:
     struct PendingOp {
@@ -228,6 +232,9 @@ private:
     void broadcast(Context& ctx, const Buffer& wire);
     void handle_ctrl(Context& ctx, ProcessId from, const BufferSlice& bytes);
     void send_report(Context& ctx);
+    void shutdown_drivers(Context& ctx);
+    // Shuts down every process not yet shut down; marks the run finished.
+    void end_run(Context& ctx);
     void finish(Context& ctx);
     void fail(Context& ctx, const std::string& why);
     bool validate_groups(std::string* why) const;
@@ -250,6 +257,9 @@ private:
     TimePoint quiesce_until_ = 0;
     TimePoint next_report_at_ = 0;
     TimerId tick_timer_ = invalid_timer;
+    // Each process gets exactly one SHUTDOWN: a second one to a driver
+    // that already exited would stall this process's shutdown drain.
+    bool drivers_shut_down_ = false;
 
     stats::Histogram merged_;
     std::uint64_t samples_streamed_ = 0;

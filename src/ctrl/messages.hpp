@@ -1,6 +1,7 @@
-// Wire messages of the distributed-benchmark control plane
-// (codec::Module::ctrl), spoken over the same net::NetWorld frame layer
-// (and reliable-FIFO Context::send contract) as the protocols themselves.
+// Wire messages of the benchmark control plane (codec::Module::ctrl),
+// spoken over the same reliable-FIFO Context::send channels as the
+// protocols themselves — net::NetWorld frames in a deployment, simulated
+// links in the in-process sweeps (harness::run_experiment).
 // One coordinator process — by convention the LAST client pid of the
 // topology — drives every other process through this exchange:
 //
@@ -14,10 +15,13 @@
 //                                 else each driver opens it on receipt)
 //   driver -> coord  SAMPLE       streamed batches of raw latency samples
 //   driver -> coord  DRIVER_DONE  local window closed + final counters
+//   coord -> driver  SHUTDOWN     at the last DRIVER_DONE (every window
+//                                 has closed) or on failure: stop the
+//                                 load, drain and exit
 //   coord -> replica REPORT       request the delivery-sequence digest
 //   replica -> coord REPLICA_DONE delivered count + order digest (the
 //                                 coordinator's per-group agreement check)
-//   coord -> node    SHUTDOWN     drain and exit
+//   coord -> replica SHUTDOWN     digests agreed (or the run failed)
 //
 // All bodies use the shared codec (varints, zigzag), so malformed control
 // traffic is rejected by the same DecodeError path as protocol traffic.
@@ -52,8 +56,8 @@ inline const char* to_string(WorkloadKind k) {
     return k == WorkloadKind::kv ? "kv" : "bytes";
 }
 
-// The distributable subset of harness::ExperimentConfig: everything a
-// node needs to build its replica stack or drive its share of the load.
+// The experiment as the coordinator distributes it: everything a node
+// needs to build its replica stack or drive its share of the load.
 struct BenchSpec {
     harness::ProtocolKind proto = harness::ProtocolKind::wbcast;
     std::uint32_t dest_groups = 1;
@@ -71,8 +75,9 @@ struct BenchSpec {
     bool batching_enabled = false;
     // Transport shard count the run was launched with (wbamd builds its
     // NetWorld before the spec arrives, so this is recorded metadata for
-    // the report, not a knob the spec can change remotely; 0 = auto).
-    std::uint32_t net_shards = 0;
+    // the report, not a knob the spec can change remotely; the in-process
+    // net runtime builds its NetWorlds with it).
+    std::uint32_t net_shards = 1;
     // Scale-out KV workload (ignored when workload == bytes): zipfian key
     // popularity over kv_keys keys, theta in permille (990 = YCSB's 0.99;
     // 0 = uniform), op mix read/cross-shard-transfer/add percentages.
@@ -82,13 +87,14 @@ struct BenchSpec {
     std::uint32_t kv_read_pct = 50;
     std::uint32_t kv_cross_pct = 10;
 
-    ReplicaConfig replica_config() const {
-        ReplicaConfig cfg;
-        cfg.heartbeat_interval = heartbeat_interval;
-        cfg.suspect_timeout = suspect_timeout;
-        cfg.retry_interval = retry_interval;
-        cfg.batching_enabled = batching_enabled;
-        return cfg;
+    // `base` with the distributed replica knobs overlaid: the knobs a node
+    // cannot get from the wire (WAL, sim cost model, GC) come from its host.
+    ReplicaConfig replica_config(ReplicaConfig base = {}) const {
+        base.heartbeat_interval = heartbeat_interval;
+        base.suspect_timeout = suspect_timeout;
+        base.retry_interval = retry_interval;
+        base.batching_enabled = batching_enabled;
+        return base;
     }
 
     void encode(codec::Writer& w) const {
