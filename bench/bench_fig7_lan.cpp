@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
     using namespace wbam;
     bench::SweepSetup setup;
     setup.runtime = bench::runtime_from_args(argc, argv);
-    setup.net_shards = bench::net_shards_from_args(argc, argv);
     setup.name = "Figure 7 (LAN, CloudLab-like)";
     setup.json_tag = "fig7";
     setup.make_delays = bench::lan_delays;

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
     using namespace wbam;
     bench::SweepSetup setup;
     setup.runtime = bench::runtime_from_args(argc, argv);
-    setup.net_shards = bench::net_shards_from_args(argc, argv);
     setup.name = "Figure 8 (WAN, 3 data centres)";
     setup.json_tag = "fig8";
     setup.groups = 10;

@@ -38,24 +38,6 @@ inline harness::RuntimeKind runtime_from_args(int argc, char** argv) {
     return *kind;
 }
 
-// Parses --net-shards=N (falling back to WBAM_NET_SHARDS). Only the net
-// runtime reads it; default 1.
-inline int net_shards_from_args(int argc, char** argv) {
-    const char* value = std::getenv("WBAM_NET_SHARDS");
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--net-shards=", 13) == 0)
-            value = argv[i] + 13;
-    }
-    if (value == nullptr) return 1;
-    char* end = nullptr;
-    const long n = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || n < 1 || n > 64) {
-        std::fprintf(stderr, "bad --net-shards=%s (range 1..64)\n", value);
-        std::exit(2);
-    }
-    return static_cast<int>(n);
-}
-
 struct SweepSetup {
     const char* name = "";
     // "fig7" / "fig8": tags the emitted BENCH_<tag>.json (path override:
@@ -68,7 +50,6 @@ struct SweepSetup {
     int groups = 10;
     int group_size = 3;
     bool staggered_leaders = false;
-    int net_shards = 1;  // net runtime only
     Duration warmup = milliseconds(200);
     Duration measure = milliseconds(500);  // halved in quick mode
 };
@@ -150,8 +131,6 @@ inline void run_sweep(const SweepSetup& setup) {
                 cfg.staggered_leaders = setup.staggered_leaders;
                 cfg.make_delays = setup.make_delays;
                 cfg.spec.proto = kind;
-                cfg.spec.net_shards =
-                    static_cast<std::uint32_t>(setup.net_shards);
                 cfg.spec.dest_groups = static_cast<std::uint32_t>(d);
                 cfg.spec.seed = static_cast<std::uint64_t>(clients) * 31 +
                                 static_cast<std::uint64_t>(d);
@@ -184,8 +163,6 @@ inline void run_sweep(const SweepSetup& setup) {
         report.runtime = harness::to_string(setup.runtime);
         report.groups = setup.groups;
         report.group_size = setup.group_size;
-        if (setup.runtime == RuntimeKind::net)
-            report.net_shards = setup.net_shards;
         for (const ProtocolKind kind : kinds) {
             for (const int d : setup.dest_group_counts) {
                 harness::FigSeries series;

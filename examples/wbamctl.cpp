@@ -3,7 +3,7 @@
 //   wbamctl run --topology=FILE [--proto=wbcast] [--dest-groups=1]
 //               [--sessions=4] [--payload=20] [--warmup-ms=500]
 //               [--measure-ms=3000] [--sample-ms=250] [--seed=1]
-//               [--batching] [--epoch-ns=T] [--net-shards=N]
+//               [--batching] [--epoch-ns=T] [--net-shards=1]
 //               [--deadline-ms=120000]
 //               [--workload=bytes|kv] [--kv-keys=1000] [--kv-theta=0.99]
 //               [--kv-read-pct=50] [--kv-cross-pct=10]
@@ -74,7 +74,7 @@ struct CtlOptions {
     double kv_theta = 0.99;
     int kv_read_pct = 50;
     int kv_cross_pct = 10;
-    int net_shards = 1;  // coordinator-side NetWorld shards
+    int net_shards = 1;  // accepted for existing launch scripts; must be 1
     int fig = 7;
     bool verbose = false;
     // topology generation
@@ -167,7 +167,7 @@ bool parse_flags(int argc, char** argv, int first, CtlOptions& o) {
                    int_flag("--measure-ms", &o.measure_ms, 1, 3'600'000) ||
                    int_flag("--sample-ms", &o.sample_ms, 1, 60'000) ||
                    int_flag("--deadline-ms", &o.deadline_ms, 1, 86'400'000) ||
-                   int_flag("--net-shards", &o.net_shards, 1, 64) ||
+                   int_flag("--net-shards", &o.net_shards, 1, 1) ||
                    int_flag("--fig", &o.fig, 7, 8) ||
                    int_flag("--groups", &o.groups, 1, 4096) ||
                    int_flag("--group-size", &o.group_size, 1, 99) ||
@@ -199,7 +199,6 @@ ctrl::BenchSpec spec_from(const CtlOptions& o) {
     spec.sample_interval = milliseconds(o.sample_ms);
     spec.seed = o.seed;
     spec.batching_enabled = o.batching;
-    spec.net_shards = static_cast<std::uint32_t>(o.net_shards);
     spec.workload = o.workload;
     spec.kv_keys = static_cast<std::uint32_t>(o.kv_keys);
     spec.kv_theta_milli = static_cast<std::uint32_t>(o.kv_theta * 1000.0);
@@ -217,7 +216,6 @@ harness::FigReport report_skeleton(const CtlOptions& o,
     report.groups = spec.groups;
     report.group_size = spec.group_size;
     report.payload = static_cast<std::uint32_t>(o.payload);
-    report.net_shards = o.net_shards;
     report.name = std::string(harness::to_string(o.proto)) + ", " +
                   std::to_string(spec.groups) + "x" +
                   std::to_string(spec.group_size) + " replicas, " +
@@ -283,7 +281,6 @@ int cmd_run(const CtlOptions& o) {
     ccfg.deadline = milliseconds(o.deadline_ms);
 
     net::NetConfig ncfg;
-    ncfg.shards = o.net_shards;
     if (spec->cluster_map().of(self).host != "127.0.0.1")
         ncfg.bind_host = "0.0.0.0";
     if (o.epoch_ns > 0)

@@ -8,7 +8,7 @@
 //
 //   wbamd --pid=N [--proto=wbcast] [--groups=2] [--group-size=3]
 //         [--clients=1] (--base-port=P | --peers=host:port,... |
-//         --topology=FILE) [--bench] [--epoch-ns=T] [--net-shards=N]
+//         --topology=FILE) [--bench] [--epoch-ns=T] [--net-shards=1]
 //         [--run-ms=6000] [--msgs=25] [--payload=32] [--out=FILE]
 //         [--metrics-dump=FILE] [--metrics-interval-ms=1000] [-v]
 //
@@ -201,7 +201,6 @@ net::NetConfig net_config_for(const harness::NodeOptions& o,
         cfg.epoch = std::chrono::steady_clock::time_point(
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::nanoseconds(o.epoch_ns)));
-    cfg.shards = o.net_shards;
     return cfg;
 }
 

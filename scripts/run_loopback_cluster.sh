@@ -5,10 +5,7 @@
 # delivered the identical totally-ordered sequence (the workload addresses
 # every message to both groups, so all six sequences must match).
 #
-#   scripts/run_loopback_cluster.sh [BUILD_DIR] [PROTO] [MSGS] [NET_SHARDS]
-#
-# NET_SHARDS (default: WBAM_NET_SHARDS or 1) is passed to every
-# wbamd as --net-shards=N: the transport event-loop shard count.
+#   scripts/run_loopback_cluster.sh [BUILD_DIR] [PROTO] [MSGS]
 #
 # Robustness: ALL child processes (replicas and client) run in the
 # background and are killed-and-reaped by an EXIT trap, so no orphan can
@@ -24,7 +21,6 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 PROTO=${2:-wbcast}
 MSGS=${3:-25}
-NET_SHARDS=${4:-${WBAM_NET_SHARDS:-1}}
 NGROUPS=2
 GROUP_SIZE=3
 # Skeen's classic protocol assumes reliable singleton groups.
@@ -58,7 +54,6 @@ launch_attempt() {
     for ((p = 0; p < REPLICAS; p++)); do
         "$WBAMD" --pid="$p" --proto="$PROTO" --groups=$NGROUPS \
             --group-size=$GROUP_SIZE --clients=1 --base-port="$base_port" \
-            --net-shards="$NET_SHARDS" \
             --run-ms="$RUN_MS" --out="$DIR/replica_$p.txt" \
             >"$DIR/wbamd_$p.log" 2>&1 &
         PIDS+=($!)
@@ -81,7 +76,6 @@ launch_attempt() {
     local client_status=0
     "$WBAMD" --pid=$REPLICAS --proto="$PROTO" --groups=$NGROUPS \
         --group-size=$GROUP_SIZE --clients=1 --base-port="$base_port" \
-        --net-shards="$NET_SHARDS" \
         --run-ms="$RUN_MS" --msgs="$MSGS" &
     PIDS+=($!)
     wait "${PIDS[-1]}" || client_status=$?
@@ -127,8 +121,8 @@ for ((attempt = 1; attempt <= ATTEMPTS; attempt++)); do
     # with the kernel's ephemeral port range either.
     BASE_PORT=$((20000 + (RANDOM % 12000)))
     echo "== wbamd loopback cluster: $PROTO, ${NGROUPS}x${GROUP_SIZE}" \
-         "replicas, base port $BASE_PORT, $MSGS msgs, net-shards" \
-         "$NET_SHARDS (attempt $attempt/$ATTEMPTS) =="
+         "replicas, base port $BASE_PORT, $MSGS msgs" \
+         "(attempt $attempt/$ATTEMPTS) =="
     STATUS=0
     launch_attempt "$BASE_PORT" || STATUS=$?
     if [[ $STATUS -eq 0 ]]; then

@@ -307,8 +307,7 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
         if p == layout.coordinator:
             continue
         cmd = [wbamd, f"--pid={p}", "--bench", f"--topology={topo_path}",
-               f"--epoch-ns={epoch}", f"--run-ms={run_ms}",
-               f"--net-shards={args.net_shards}"]
+               f"--epoch-ns={epoch}", f"--run-ms={run_ms}"]
         if getattr(args, "verbose", False):
             cmd.append("-v")
         if metrics_dir:
@@ -334,7 +333,7 @@ def launch_cluster(args, layout, topo_path, exec_in_region, outdir):
            f"--sessions={args.sessions}", f"--payload={args.payload}",
            f"--warmup-ms={args.warmup_ms}", f"--measure-ms={args.measure_ms}",
            f"--deadline-ms={run_ms}", f"--fig={args.fig}",
-           f"--net-shards={args.net_shards}", f"--out={args.out}"]
+           f"--out={args.out}"]
     if args.batching:
         ctl.append("--batching")
     if metrics_dir:
@@ -509,7 +508,7 @@ def cmd_ssh(args):
         if p == coordinator:
             continue
         cmd = [wbamd, f"--pid={p}", "--bench", f"--topology={remote_topo}",
-               f"--run-ms={run_ms}", f"--net-shards={args.net_shards}"]
+               f"--run-ms={run_ms}"]
         if args.metrics_dir:
             # The directory is on the REMOTE host and must already exist
             # (same contract as the binaries and the topology file).
@@ -525,8 +524,7 @@ def cmd_ssh(args):
            f"--dest-groups={args.dest_groups}", f"--sessions={args.sessions}",
            f"--payload={args.payload}", f"--warmup-ms={args.warmup_ms}",
            f"--measure-ms={args.measure_ms}", f"--deadline-ms={run_ms}",
-           f"--fig={args.fig}", f"--net-shards={args.net_shards}",
-           f"--out={args.out}"]
+           f"--fig={args.fig}", f"--out={args.out}"]
     if args.metrics_dir:
         os.makedirs(args.metrics_dir, exist_ok=True)  # wbamctl runs locally
         ctl.append(f"--metrics-dump="
@@ -579,9 +577,6 @@ def main():
         m.add_argument("--measure-ms", type=int, default=3000)
         m.add_argument("--deadline-slack-ms", type=int, default=30000)
         m.add_argument("--batching", action="store_true")
-        m.add_argument("--net-shards", type=int, default=1,
-                       help="transport event-loop shards per process "
-                            "(1..64)")
         m.add_argument("--workload", default="bytes",
                        choices=("bytes", "kv"),
                        help="bytes = opaque-payload microbenchmark; kv = "

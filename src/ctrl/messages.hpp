@@ -73,11 +73,6 @@ struct BenchSpec {
     Duration suspect_timeout = seconds(30);
     Duration retry_interval = milliseconds(200);
     bool batching_enabled = false;
-    // Transport shard count the run was launched with (wbamd builds its
-    // NetWorld before the spec arrives, so this is recorded metadata for
-    // the report, not a knob the spec can change remotely; the in-process
-    // net runtime builds its NetWorlds with it).
-    std::uint32_t net_shards = 1;
     // Scale-out KV workload (ignored when workload == bytes): zipfian key
     // popularity over kv_keys keys, theta in permille (990 = YCSB's 0.99;
     // 0 = uniform), op mix read/cross-shard-transfer/add percentages.
@@ -111,7 +106,6 @@ struct BenchSpec {
         w.zigzag(suspect_timeout);
         w.zigzag(retry_interval);
         w.boolean(batching_enabled);
-        w.varint(net_shards);
         w.u8(static_cast<std::uint8_t>(workload));
         w.varint(kv_keys);
         w.varint(kv_theta_milli);
@@ -136,7 +130,6 @@ struct BenchSpec {
         s.suspect_timeout = r.zigzag();
         s.retry_interval = r.zigzag();
         s.batching_enabled = r.boolean();
-        codec::read_field(r, s.net_shards);
         const std::uint8_t wl = r.u8();
         if (wl > static_cast<std::uint8_t>(WorkloadKind::kv))
             throw codec::DecodeError("unknown workload kind");

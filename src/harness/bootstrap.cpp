@@ -67,7 +67,7 @@ std::optional<NodeOptions> parse_node_args(int argc, const char* const* argv,
                                  [&](long long x) { o.payload = static_cast<int>(x); })) != 0) {
         } else if ((r = int_flag("--epoch-ns", 0, std::int64_t{1} << 62,
                                  [&](long long x) { o.epoch_ns = x; })) != 0) {
-        } else if ((r = int_flag("--net-shards", 1, 64,
+        } else if ((r = int_flag("--net-shards", 1, 1,
                                  [&](long long x) { o.net_shards = static_cast<int>(x); })) != 0) {
         } else if ((v = flag_value(argv[i], "--proto"))) {
             const auto kind = parse_protocol_kind(v);

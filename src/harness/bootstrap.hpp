@@ -29,7 +29,8 @@ struct NodeOptions {
     // a single-machine deployment; 0 = per-process epoch.
     std::int64_t epoch_ns = 0;
     bool bench = false;  // join the distributed benchmark plane (src/ctrl/)
-    // Transport event-loop shard count (net::NetConfig::shards).
+    // --net-shards: accepted for existing launch scripts, must be 1 (a
+    // NetWorld runs one event loop; net::NetConfig::shards).
     int net_shards = 1;
     int run_ms = 6000;
     int msgs = 25;

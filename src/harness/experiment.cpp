@@ -46,9 +46,7 @@ ExperimentOutcome run_experiment(const ExperimentConfig& cfg) {
         sim_world->start();
         advance = [&] { sim_world->run_for(milliseconds(10)); };
     } else {
-        net::NetConfig base;
-        base.shards = static_cast<int>(cfg.spec.net_shards);
-        net_worlds = make_loopback_worlds(topo, cfg.spec.seed, factory, base);
+        net_worlds = make_loopback_worlds(topo, cfg.spec.seed, factory);
         for (auto& world : net_worlds) world->start();
         advance = [] {
             std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -49,10 +49,6 @@ struct FigReport {
     int groups = 0;
     int group_size = 0;
     std::uint32_t payload = 20;
-    // Transport shard count the run was launched with (net runtimes only;
-    // 0 = not applicable). Emitted so perf deltas across reports are
-    // attributable to the event-loop configuration.
-    int net_shards = 0;
     // Distributed runs only (0/0 on in-process runs): how the load was
     // spread across OS processes and how many raw samples were streamed.
     int driver_processes = 0;

@@ -9,11 +9,10 @@ namespace wbam::harness {
 
 std::vector<std::unique_ptr<net::NetWorld>> make_loopback_worlds(
     const Topology& topo, std::uint64_t seed,
-    const std::function<std::unique_ptr<Process>(ProcessId)>& factory,
-    net::NetConfig base) {
+    const std::function<std::unique_ptr<Process>(ProcessId)>& factory) {
     // One shared epoch: latencies measured across worlds stay coherent.
-    if (base.epoch == std::chrono::steady_clock::time_point{})
-        base.epoch = std::chrono::steady_clock::now();
+    net::NetConfig base;
+    base.epoch = std::chrono::steady_clock::now();
     std::vector<std::unique_ptr<net::NetWorld>> worlds;
     worlds.reserve(static_cast<std::size_t>(topo.num_processes()));
     for (ProcessId p = 0; p < topo.num_processes(); ++p) {
@@ -64,7 +63,7 @@ LiveCluster::LiveCluster(LiveClusterConfig cfg)
         return client;
     };
 
-    nets_ = make_loopback_worlds(topo_, cfg_.seed, factory, cfg_.net);
+    nets_ = make_loopback_worlds(topo_, cfg_.seed, factory);
     for (auto& world : nets_) world->start();
     running_ = true;
 }

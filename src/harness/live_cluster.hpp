@@ -27,8 +27,7 @@ namespace wbam::harness {
 // Returned worlds are constructed but not started.
 std::vector<std::unique_ptr<net::NetWorld>> make_loopback_worlds(
     const Topology& topo, std::uint64_t seed,
-    const std::function<std::unique_ptr<Process>(ProcessId)>& factory,
-    net::NetConfig base = {});
+    const std::function<std::unique_ptr<Process>(ProcessId)>& factory);
 
 struct LiveClusterConfig {
     ProtocolKind kind = ProtocolKind::wbcast;
@@ -39,8 +38,6 @@ struct LiveClusterConfig {
     std::uint64_t seed = 1;
     ReplicaConfig replica;
     Duration client_retry = milliseconds(300);
-    // Transport knobs (epoch is overridden with a shared one).
-    net::NetConfig net;
     bool send_acks = true;
 };
 

@@ -13,7 +13,7 @@ namespace wbam::harness {
 
 enum class RuntimeKind {
     sim,  // sim::World — discrete-event, deterministic, virtual time
-    net,  // net::NetWorld — poll event loops over loopback/LAN TCP
+    net,  // net::NetWorld — one poll event loop over loopback/LAN TCP
 };
 
 inline const char* to_string(RuntimeKind kind) {

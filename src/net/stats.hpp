@@ -3,7 +3,7 @@
 // everywhere. The writev_calls/frames_sent pair is what makes send-path
 // coalescing *measurable* — frames_sent / writev_calls is the syscall
 // amortization factor the saturation benchmark reports, and
-// net_shard_test asserts a burst of queued frames flushes in a single
+// net_transport_test asserts a burst of queued frames flushes in a single
 // writev.
 #ifndef WBAM_NET_STATS_HPP
 #define WBAM_NET_STATS_HPP

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <mutex>
 #include <queue>
 #include <random>
 #include <thread>
@@ -22,8 +23,8 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "net/send_queue.hpp"
-#include "net/shard.hpp"
 #include "net/stats.hpp"
+#include "net/wake_fd.hpp"
 #include "obs/metrics.hpp"
 
 namespace wbam::net {
@@ -41,6 +42,19 @@ void set_nodelay(int fd) {
 }
 
 constexpr std::size_t read_chunk = 64 * 1024;
+// Redial backoff of a dead outbound connection: doubles from min to max.
+constexpr Duration dial_backoff_min = milliseconds(10);
+constexpr Duration dial_backoff_max = seconds(1);
+// Delayed-ack bound: a cumulative ack waits at most this long for a data
+// frame to piggyback on before it is flushed on its own (still inside a
+// coalesced writev, never a dedicated syscall).
+constexpr Duration ack_delay = microseconds(500);
+// Shutdown drain bound: how long the loop keeps flushing outbound queues.
+constexpr Duration drain_wait = milliseconds(500);
+
+// The world whose loop the calling thread runs (nullptr off every loop
+// thread): a send made anywhere else is posted to the loop.
+thread_local const NetWorld* running_world = nullptr;
 
 }  // namespace
 
@@ -53,10 +67,9 @@ struct NetWorld::Conn {
     int fd = -1;
     bool connecting = false;  // nonblocking connect(2) in progress
     bool saw_hello = false;   // inbound: first frame pending
-    bool handoff = false;     // inbound: the affinity owner is another loop
     // The dialling process's boot nonce from its HELLO (inbound only).
     std::uint64_t peer_incarnation = 0;
-    FrameReassembler in;
+    FrameReassembler in;  // rejects frames over default_max_frame
     // Send side: the coalescing queue owns the channel sequence counter
     // and the unacked retransmit buffer (net/send_queue.hpp).
     SendQueue q;
@@ -66,27 +79,20 @@ struct NetWorld::Conn {
     bool ack_pending = false;
     std::uint64_t ack_upto = 0;
     TimePoint ack_due = 0;
-    // Frames drained after the HELLO re-key but before the socket ships
-    // to its owning loop; replayed through on_frame there.
-    std::vector<BufferSlice> handoff_frames;
     // Redial state (outbound only).
     Duration backoff = 0;
     TimePoint retry_at = 0;
-
-    Conn(std::size_t max_frame, FlushLimits limits)
-        : in(max_frame), q(limits) {}
 };
 
-// --- per-shard event loop ----------------------------------------------------
+// --- the event loop ----------------------------------------------------------
 
 struct NetWorld::Loop {
     struct TimerFlight {
         TimePoint due = 0;
-        std::uint64_t seq = 0;
         ProcessId pid = invalid_process;
-        TimerId id = invalid_timer;
+        TimerId id = invalid_timer;  // increasing: breaks ties by set order
         bool operator>(const TimerFlight& o) const {
-            return due != o.due ? due > o.due : seq > o.seq;
+            return due != o.due ? due > o.due : id > o.id;
         }
     };
     struct LocalMail {
@@ -94,34 +100,15 @@ struct NetWorld::Loop {
         ProcessId to = invalid_process;
         BufferSlice bytes;
     };
-    // Cross-shard command envelope: anything another thread wants this
-    // loop to do travels through the MPSC mailbox as one of these.
-    struct Command {
-        enum class Kind { send, deliver, post, handoff, drop };
-        Kind kind = Kind::send;
-        ProcessId from = invalid_process;  // send: source pid
-        ProcessId pid = invalid_process;   // send: dest / post: target
-        BufferSlice bytes;                 // send: payload
-        std::vector<LocalMail> mail;       // deliver: batched deliveries
-        std::function<void(Context&)> fn;  // post: injected thunk
-        std::unique_ptr<Conn> conn;        // handoff: the socket, whole
-    };
-
-    // The loop the calling thread runs (nullptr off the loop threads):
-    // same-loop submissions skip the mailbox.
-    inline static thread_local Loop* current = nullptr;
 
     NetWorld* w = nullptr;
-    int index = 0;
-    std::vector<Host*> hosts;  // processes homed on this loop
 
-    // Loop-owned state (touched only before start() or on this thread).
+    // Loop-owned state (touched only before start() or on the loop thread).
     std::vector<std::unique_ptr<Conn>> conns;
     std::map<std::pair<ProcessId, ProcessId>, Conn*> out_by_pair;
     // Receive cursor per (remote, local) channel: next expected DATA seq.
     // Outlives individual connections — that is what makes reconnect
-    // retransmission dedup-able — and stays on this loop because the
-    // affinity map is a pure function of the pair.
+    // retransmission dedup-able.
     std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> recv_next;
     // Last HELLO incarnation seen per channel: a change means the peer
     // process restarted (its channel restarts at seq 1), so the cursor and
@@ -129,24 +116,32 @@ struct NetWorld::Loop {
     std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> recv_incarnation;
     std::priority_queue<TimerFlight, std::vector<TimerFlight>, std::greater<>>
         timers;
-    std::uint64_t timer_seq = 0;
-    std::deque<LocalMail> inbox;  // deliveries for hosts homed here
+    TimerId next_timer = 1;
+    std::deque<LocalMail> inbox;  // local sends awaiting delivery
     std::vector<LocalMail> rx;    // frames received this poll turn
     bool read_progress = false;   // a socket produced bytes this turn
 
-    // Cross-thread: command submission and the wakeup it rings.
-    Mailbox<Command> mailbox;
+    // Cross-thread: calls from other threads queue here as thunks. Only
+    // the push that finds the queue empty rings the wake fd: the loop
+    // takes the whole queue before every poll, so any later push finds it
+    // empty again and rings anew.
+    std::mutex posted_mutex;
+    std::vector<std::function<void()>> posted;
     WakeFd wakefd;
-    std::atomic<bool> idle{false};  // drain-quiescence flag
     std::thread thread;
 
-    void post(Command cmd) {
-        if (mailbox.push(std::move(cmd))) wakefd.wake();
+    void post(std::function<void()> fn) {
+        bool was_empty = false;
+        {
+            const std::lock_guard<std::mutex> guard(posted_mutex);
+            was_empty = posted.empty();
+            posted.push_back(std::move(fn));
+        }
+        if (was_empty) wakefd.wake();
     }
 
     void run();
-    void execute(Command& cmd);
-    void install(std::unique_ptr<Conn> conn);
+    bool run_posted();  // false: nothing was posted
     void note_incarnation(Conn& c);
     Conn* out_conn(ProcessId from, ProcessId to);
     void note_ack(ProcessId local, ProcessId remote, std::uint64_t upto);
@@ -159,7 +154,7 @@ struct NetWorld::Loop {
     // One received frame; returns false when the stream is malformed.
     bool on_frame(Conn& c, const BufferSlice& payload);
     void accept_ready(Host& h);
-    void route_rx();
+    void deliver_rx();
     void fire_due_timers();
     TimePoint next_deadline() const;
 };
@@ -173,7 +168,6 @@ struct NetWorld::Host {
     Rng rng{0};
     int listen_fd = -1;
     std::uint16_t port = 0;
-    Loop* home = nullptr;  // handlers, timers and thunks run here
     std::unordered_set<TimerId> active_timers;
 };
 
@@ -187,13 +181,11 @@ struct NetWorld::HostContext final : Context {
         world->send_from(host->id, to, std::move(bytes));
     }
     TimerId set_timer(Duration delay) override {
-        const TimerId id =
-            world->next_timer_.fetch_add(1, std::memory_order_relaxed);
+        Loop& loop = *world->loop_;
+        const TimerId id = loop.next_timer++;
         host->active_timers.insert(id);
-        Loop* home = host->home;
-        home->timers.push(Loop::TimerFlight{.due = world->now() + delay,
-                                            .seq = home->timer_seq++,
-                                            .pid = host->id, .id = id});
+        loop.timers.push(Loop::TimerFlight{
+            .due = world->now() + delay, .pid = host->id, .id = id});
         return id;
     }
     void cancel_timer(TimerId id) override { host->active_timers.erase(id); }
@@ -203,8 +195,7 @@ struct NetWorld::HostContext final : Context {
 // --- world lifecycle ---------------------------------------------------------
 
 NetWorld::NetWorld(Topology topo, std::uint64_t seed, NetConfig cfg)
-    : topo_(std::move(topo)), cfg_(std::move(cfg)),
-      nshards_(resolve_shard_count(cfg_.shards)), seed_rng_(seed),
+    : topo_(std::move(topo)), cfg_(std::move(cfg)), seed_rng_(seed),
       epoch_(cfg_.epoch == std::chrono::steady_clock::time_point{}
                  ? std::chrono::steady_clock::now()
                  : cfg_.epoch) {
@@ -215,23 +206,16 @@ NetWorld::NetWorld(Topology topo, std::uint64_t seed, NetConfig cfg)
                            .time_since_epoch()
                            .count());
     if (incarnation_ == 0) incarnation_ = 1;
-    for (int i = 0; i < nshards_; ++i) {
-        auto loop = std::make_unique<Loop>();
-        loop->w = this;
-        loop->index = i;
-        loops_.push_back(std::move(loop));
-    }
+    WBAM_ASSERT_MSG(cfg_.shards == 1,
+                    "NetConfig::shards must be 1 (one event loop per world)");
+    loop_ = std::make_unique<Loop>();
+    loop_->w = this;
 }
 
 NetWorld::~NetWorld() {
     shutdown();
-    for (const auto& l : loops_) {
-        for (const auto& c : l->conns)
-            if (c->fd >= 0) ::close(c->fd);
-        // Handed-off sockets still in transit live in the mailbox.
-        for (auto& cmd : l->mailbox.drain())
-            if (cmd.conn != nullptr && cmd.conn->fd >= 0) ::close(cmd.conn->fd);
-    }
+    for (const auto& c : loop_->conns)
+        if (c->fd >= 0) ::close(c->fd);
     for (const auto& h : hosts_)
         if (h->listen_fd >= 0) ::close(h->listen_fd);
 }
@@ -255,10 +239,6 @@ void NetWorld::add_process(ProcessId id, std::unique_ptr<Process> p,
     host->ctx = std::make_unique<HostContext>();
     host->ctx->world = this;
     host->ctx->host = host.get();
-    // Home loop: round-robin by registration order. The host's handlers
-    // and its listener live there.
-    host->home = loops_[hosts_.size() % loops_.size()].get();
-    host->home->hosts.push_back(host.get());
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     WBAM_ASSERT_MSG(fd >= 0, "socket() failed");
@@ -307,10 +287,7 @@ void NetWorld::start() {
     for (const auto& h : hosts_)
         WBAM_ASSERT_MSG(h->proc != nullptr, "unregistered process");
     started_ = true;
-    for (const auto& l : loops_) {
-        Loop* raw = l.get();
-        raw->thread = std::thread([raw] { raw->run(); });
-    }
+    loop_->thread = std::thread([loop = loop_.get()] { loop->run(); });
 }
 
 void NetWorld::run_for(Duration d) {
@@ -320,92 +297,56 @@ void NetWorld::run_for(Duration d) {
 void NetWorld::run_on(ProcessId id, std::function<void(Context&)> fn) {
     Host* h = host_of(id);
     if (h == nullptr) return;
-    Loop::Command cmd;
-    cmd.kind = Loop::Command::Kind::post;
-    cmd.pid = id;
-    cmd.fn = std::move(fn);
-    h->home->post(std::move(cmd));
+    loop_->post([h, fn = std::move(fn)] { fn(*h->ctx); });
 }
 
 void NetWorld::drop_connections() {
-    for (const auto& l : loops_) {
-        Loop::Command cmd;
-        cmd.kind = Loop::Command::Kind::drop;
-        l->post(std::move(cmd));
-    }
+    loop_->post([loop = loop_.get()] {
+        for (const auto& c : loop->conns) {
+            if (c->fd < 0) continue;
+            c->outbound ? loop->conn_dead(*c) : loop->close_conn(*c);
+        }
+    });
 }
 
-// Cross-shard quiescence: every loop publishes an idle flag each drain
-// turn and bumps the shared activity counter when it did work. Nothing
-// is in flight once every loop is idle AND the counter held still for
-// two consecutive checks — a loop that is about to receive cross-shard
-// mail stops being idle before its producer's work goes unseen.
+// The loop detects its own quiescence (see Loop::run); shutdown() only
+// starts the drain and waits for the loop to finish it.
 void NetWorld::shutdown() {
     if (!started_) return;
     draining_.store(true);
-    for (const auto& l : loops_) l->wakefd.wake();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(cfg_.drain_wait);
-    std::uint64_t last_activity = ~std::uint64_t{0};
-    int quiet = 0;
-    while (quiet < 2 && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        bool all_idle = true;
-        for (const auto& l : loops_) all_idle &= l->idle.load();
-        const std::uint64_t activity = activity_.load();
-        quiet = all_idle && activity == last_activity ? quiet + 1 : 0;
-        last_activity = activity;
-    }
-    stop_.store(true);
-    for (const auto& l : loops_) l->wakefd.wake();
-    for (const auto& l : loops_)
-        if (l->thread.joinable()) l->thread.join();
+    loop_->wakefd.wake();
+    loop_->thread.join();
     started_ = false;
     draining_.store(false);
-    stop_.store(false);
 }
 
 // --- sending -----------------------------------------------------------------
 
 void NetWorld::send_from(ProcessId from, ProcessId to, BufferSlice bytes) {
+    if (running_world != this) {
+        // Off the loop thread: only the loop touches its queues.
+        loop_->post([this, from, to, bytes = std::move(bytes)]() mutable {
+            send_from(from, to, std::move(bytes));
+        });
+        return;
+    }
     if (is_local(to)) {
-        Loop* home = by_pid_.find(to)->second->home;
-        if (Loop::current == home) {
-            home->inbox.push_back(Loop::LocalMail{from, to, std::move(bytes)});
-        } else {
-            Loop::Command cmd;
-            cmd.kind = Loop::Command::Kind::deliver;
-            cmd.mail.push_back(Loop::LocalMail{from, to, std::move(bytes)});
-            home->post(std::move(cmd));
-        }
+        loop_->inbox.push_back(Loop::LocalMail{from, to, std::move(bytes)});
         return;
     }
     if (!cluster_.contains(to)) return;  // unaddressable: dropped
-    Loop* owner =
-        loops_[static_cast<std::size_t>(shard_for(from, to, nshards_))].get();
-    if (Loop::current == owner) {
-        owner->out_conn(from, to)->q.push_data(std::move(bytes));
-        return;
-    }
-    Loop::Command cmd;
-    cmd.kind = Loop::Command::Kind::send;
-    cmd.from = from;
-    cmd.pid = to;
-    cmd.bytes = std::move(bytes);
-    owner->post(std::move(cmd));
+    loop_->out_conn(from, to)->q.push_data(std::move(bytes));
 }
 
 NetWorld::Conn* NetWorld::Loop::out_conn(ProcessId from, ProcessId to) {
     const auto key = std::make_pair(from, to);
     const auto it = out_by_pair.find(key);
     if (it != out_by_pair.end()) return it->second;
-    auto conn = std::make_unique<Conn>(
-        w->cfg_.max_frame,
-        FlushLimits{w->cfg_.flush_max_iov, w->cfg_.flush_max_bytes});
+    auto conn = std::make_unique<Conn>();
     conn->local = from;
     conn->remote = to;
     conn->outbound = true;
-    conn->backoff = w->cfg_.dial_backoff_min;
+    conn->backoff = dial_backoff_min;
     conn->retry_at = w->now();  // dial on the next loop turn
     Conn* raw = conn.get();
     conns.push_back(std::move(conn));
@@ -478,8 +419,8 @@ void NetWorld::Loop::conn_dead(Conn& c) {
                            w->now());
     }
     c.q.requeue_unacked();
-    c.backoff = std::min(std::max(c.backoff * 2, w->cfg_.dial_backoff_min),
-                         w->cfg_.dial_backoff_max);
+    c.backoff = std::min(std::max(c.backoff * 2, dial_backoff_min),
+                         dial_backoff_max);
     c.retry_at = w->now() + c.backoff;
 }
 
@@ -496,7 +437,7 @@ void NetWorld::Loop::flush_conn(Conn& c) {
     bool progressed = false;
     const SendQueue::FlushStatus st = c.q.flush(c.fd, &progressed);
     // First successful write on a dialled connection: reset the backoff.
-    if (progressed && c.outbound) c.backoff = w->cfg_.dial_backoff_min;
+    if (progressed && c.outbound) c.backoff = dial_backoff_min;
     if (st == SendQueue::FlushStatus::error) conn_dead(c);
 }
 
@@ -510,7 +451,7 @@ void NetWorld::Loop::note_ack(ProcessId local, ProcessId remote,
     Conn* back = out_conn(local, remote);
     if (!back->ack_pending) {
         back->ack_pending = true;
-        back->ack_due = w->now() + w->cfg_.ack_delay;
+        back->ack_due = w->now() + ack_delay;
     }
     back->ack_upto = std::max(back->ack_upto, upto);
 }
@@ -541,42 +482,11 @@ void NetWorld::Loop::accept_ready(Host& h) {
         }
         set_nonblocking(fd);
         set_nodelay(fd);
-        auto conn = std::make_unique<Conn>(
-            w->cfg_.max_frame,
-            FlushLimits{w->cfg_.flush_max_iov, w->cfg_.flush_max_bytes});
+        auto conn = std::make_unique<Conn>();
         conn->local = h.id;
         conn->outbound = false;
         conn->fd = fd;
         conns.push_back(std::move(conn));
-    }
-}
-
-// An inbound socket whose HELLO named a pair owned by another loop lands
-// here: installed whole, superseding any older connection of the same
-// pair, with the frames drained alongside the HELLO replayed in order.
-void NetWorld::Loop::install(std::unique_ptr<Conn> conn) {
-    conn->handoff = false;
-    for (const auto& other : conns) {
-        if (other->outbound) continue;
-        if (other->fd >= 0 && other->saw_hello &&
-            other->remote == conn->remote && other->local == conn->local)
-            close_conn(*other);
-    }
-    std::vector<BufferSlice> replay;
-    replay.swap(conn->handoff_frames);
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    // The HELLO was consumed on the accepting loop; apply its incarnation
-    // here, where the channel's cursor lives.
-    note_incarnation(*raw);
-    for (const BufferSlice& payload : replay) {
-        if (raw->fd < 0) break;
-        if (!on_frame(*raw, payload)) {
-            log::info("net: dropping malformed connection (local p",
-                      raw->local, ")");
-            close_conn(*raw);
-            break;
-        }
     }
 }
 
@@ -637,14 +547,6 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
             c.remote = hello->from;
             c.saw_hello = true;
             c.peer_incarnation = hello->incarnation;
-            // The socket was accepted on the listener's home loop, but
-            // the pair's affinity may name another: flag it for handoff —
-            // the fd pass ships it whole, frames drained after this one
-            // included. The channel state never splits across loops.
-            if (shard_for(c.local, c.remote, w->nshards_) != index) {
-                c.handoff = true;
-                return true;
-            }
             for (const auto& other : conns) {
                 if (other.get() == &c || other->outbound) continue;
                 if (other->fd >= 0 && other->saw_hello &&
@@ -687,8 +589,7 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
                 codec::Reader r(body);
                 const std::uint64_t upto = r.varint();
                 r.expect_done();
-                // Acks refer to OUR data channel towards the peer — owned
-                // by this loop too (the affinity map is symmetric).
+                // Acks refer to OUR data channel towards the peer.
                 const auto it =
                     out_by_pair.find(std::make_pair(c.local, c.remote));
                 if (it == out_by_pair.end()) return true;
@@ -714,12 +615,6 @@ bool NetWorld::Loop::read_conn(Conn& c) {
             const bool ok = c.in.drain([&](const BufferSlice& payload) {
                 if (malformed) return;
                 ++frames;
-                if (c.handoff) {
-                    // Already re-keyed to another loop's pair: everything
-                    // after the HELLO rides along with the socket.
-                    c.handoff_frames.push_back(payload);
-                    return;
-                }
                 if (!on_frame(c, payload)) malformed = true;
             });
             transport_stats::note_frames_received(frames);
@@ -729,7 +624,6 @@ bool NetWorld::Loop::read_conn(Conn& c) {
                 c.outbound ? conn_dead(c) : close_conn(c);
                 return false;
             }
-            if (c.handoff) return true;  // owner loop reads from here on
             continue;
         }
         if (n == 0) {  // peer closed
@@ -756,58 +650,23 @@ void NetWorld::deliver(Host& h, ProcessId from, const BufferSlice& frame) {
     }
 }
 
-// Everything read this poll turn lands in one batched handler pass:
-// frames for processes homed on this loop deliver immediately, frames
-// for the others ship as ONE deliver command (one wakeup) per target
-// loop.
-void NetWorld::Loop::route_rx() {
-    if (rx.empty()) return;
-    std::vector<std::vector<LocalMail>> cross;
-    for (LocalMail& m : rx) {
-        Host* h = w->host_of(m.to);
-        if (h == nullptr) continue;
-        if (h->home == this) {
-            w->deliver(*h, m.from, m.bytes);
-            continue;
-        }
-        if (cross.empty()) cross.resize(w->loops_.size());
-        cross[static_cast<std::size_t>(h->home->index)].push_back(
-            std::move(m));
-    }
+// Everything read this poll turn lands in one batched handler pass.
+void NetWorld::Loop::deliver_rx() {
+    for (const LocalMail& m : rx)
+        if (Host* h = w->host_of(m.to)) w->deliver(*h, m.from, m.bytes);
     rx.clear();
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-        if (cross[i].empty()) continue;
-        Command cmd;
-        cmd.kind = Command::Kind::deliver;
-        cmd.mail = std::move(cross[i]);
-        w->loops_[i]->post(std::move(cmd));
-    }
 }
 
 // --- the loop ----------------------------------------------------------------
 
-void NetWorld::Loop::execute(Command& cmd) {
-    switch (cmd.kind) {
-        case Command::Kind::send:
-            if (!w->cluster_.contains(cmd.pid)) return;
-            out_conn(cmd.from, cmd.pid)->q.push_data(std::move(cmd.bytes));
-            return;
-        case Command::Kind::deliver:
-            for (LocalMail& m : cmd.mail) inbox.push_back(std::move(m));
-            return;
-        case Command::Kind::post:
-            if (Host* h = w->host_of(cmd.pid);
-                h != nullptr && h->home == this)
-                cmd.fn(*h->ctx);
-            return;
-        case Command::Kind::handoff:
-            install(std::move(cmd.conn));
-            return;
-        case Command::Kind::drop:
-            for (const auto& c : conns)
-                if (c->fd >= 0) c->outbound ? conn_dead(*c) : close_conn(*c);
-            return;
+bool NetWorld::Loop::run_posted() {
+    std::vector<std::function<void()>> batch;
+    {
+        const std::lock_guard<std::mutex> guard(posted_mutex);
+        batch.swap(posted);
     }
+    for (const auto& fn : batch) fn();
+    return !batch.empty();
 }
 
 void NetWorld::Loop::fire_due_timers() {
@@ -833,18 +692,19 @@ TimePoint NetWorld::Loop::next_deadline() const {
 }
 
 void NetWorld::Loop::run() {
-    current = this;
-    for (Host* h : hosts) h->proc->on_start(*h->ctx);
+    running_world = w;
+    for (const auto& h : w->hosts_) h->proc->on_start(*h->ctx);
 
     std::vector<pollfd> pfds;
     std::vector<Conn*> pfd_conn;  // parallel to pfds; nullptr = not a conn
+    TimePoint drain_deadline = time_never;
+    int quiet_turns = 0;  // consecutive draining turns that found no work
 
     for (;;) {
-        bool busy = false;
-
-        auto cmds = mailbox.drain();
-        busy |= !cmds.empty();
-        for (Command& cmd : cmds) execute(cmd);
+        // Read before taking the posted queue: a turn that sees the drain
+        // also runs every thunk posted before shutdown() was called.
+        const bool draining = w->draining_.load();
+        bool busy = run_posted();
 
         if (!inbox.empty()) {
             busy = true;
@@ -858,7 +718,6 @@ void NetWorld::Loop::run() {
                     w->deliver(*h, m.from, m.bytes);
         }
 
-        const bool draining = w->draining_.load();
         if (!draining) fire_due_timers();
         flush_acks(draining);
 
@@ -880,10 +739,13 @@ void NetWorld::Loop::run() {
         busy |= read_progress;
         read_progress = false;
 
-        if (w->stop_.load()) return;
         if (draining) {
-            if (busy) w->activity_.fetch_add(1, std::memory_order_relaxed);
-            idle.store(!busy);
+            // Quiescent once two turns in a row found nothing to run,
+            // deliver, flush or read; bounded by drain_wait.
+            if (drain_deadline == time_never)
+                drain_deadline = current_time + drain_wait;
+            quiet_turns = busy ? 0 : quiet_turns + 1;
+            if (quiet_turns >= 2 || current_time >= drain_deadline) break;
         }
 
         pfds.clear();
@@ -894,7 +756,7 @@ void NetWorld::Loop::run() {
         if (!draining) {
             // No NEW connections while draining; established ones still
             // read (in-flight frames must land) and flush.
-            for (const Host* h : hosts) {
+            for (const auto& h : w->hosts_) {
                 pfds.push_back(pollfd{h->listen_fd, POLLIN, 0});
                 pfd_conn.push_back(nullptr);
             }
@@ -909,7 +771,7 @@ void NetWorld::Loop::run() {
 
         int timeout_ms = 100;
         const TimePoint next = next_deadline();
-        if (!inbox.empty() || !mailbox.empty()) {
+        if (!inbox.empty()) {
             timeout_ms = 0;
         } else if (next != time_never) {
             const TimePoint at = w->now();
@@ -920,35 +782,16 @@ void NetWorld::Loop::run() {
         }
         if (draining) timeout_ms = std::min(timeout_ms, 5);
 
-        int ready;
-        if (!draining && w->cfg_.busy_poll > 0 && timeout_ms > 0) {
-            // Busy-poll window: spin on zero-timeout polls (the wake fd is
-            // in the set, so mailbox pushes land too), then block for the
-            // remainder of the deadline.
-            const auto spin_end = std::chrono::steady_clock::now() +
-                                  std::chrono::nanoseconds(w->cfg_.busy_poll);
-            while ((ready = ::poll(pfds.data(),
-                                   static_cast<nfds_t>(pfds.size()), 0)) == 0) {
-                if (std::chrono::steady_clock::now() >= spin_end) {
-                    ready = ::poll(pfds.data(),
-                                   static_cast<nfds_t>(pfds.size()),
-                                   timeout_ms);
-                    break;
-                }
-                std::this_thread::yield();
-            }
-        } else {
-            ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                           timeout_ms);
-        }
-        if (ready < 0 && errno != EINTR) return;  // unrecoverable
+        const int ready = ::poll(pfds.data(),
+                                 static_cast<nfds_t>(pfds.size()), timeout_ms);
+        if (ready < 0 && errno != EINTR) break;  // unrecoverable
 
         if (ready > 0) {
             if (pfds[0].revents & POLLIN) wakefd.clear();
             if (!draining) {
-                for (std::size_t i = 0; i < hosts.size(); ++i)
+                for (std::size_t i = 0; i < w->hosts_.size(); ++i)
                     if (pfds[listeners_at + i].revents & POLLIN)
-                        accept_ready(*hosts[i]);
+                        accept_ready(*w->hosts_[i]);
             }
             for (std::size_t i = 0; i < pfds.size(); ++i) {
                 Conn* c = pfd_conn[i];
@@ -970,7 +813,6 @@ void NetWorld::Loop::run() {
                 }
                 if (pfds[i].revents & POLLIN) {
                     if (!read_conn(*c)) continue;
-                    if (c->handoff) continue;  // shipped after the pass
                 } else if (pfds[i].revents & (POLLERR | POLLHUP)) {
                     // No readable data: the connection is gone.
                     c->outbound ? conn_dead(*c) : close_conn(*c);
@@ -980,34 +822,17 @@ void NetWorld::Loop::run() {
             }
         }
 
-        // One batched handler pass over everything read this turn.
-        route_rx();
+        deliver_rx();
 
-        // Ship handed-off sockets to their affinity owners, then reap
-        // dead inbound connections (outbound ones persist: they own the
-        // redial schedule and the queued frames).
-        for (auto& slot : conns) {
-            if (slot == nullptr || !slot->handoff) continue;
-            if (slot->fd < 0) {
-                slot->handoff = false;
-                continue;
-            }
-            Loop* owner = w->loops_[static_cast<std::size_t>(shard_for(
-                                        slot->local, slot->remote,
-                                        w->nshards_))]
-                              .get();
-            Command cmd;
-            cmd.kind = Command::Kind::handoff;
-            cmd.conn = std::move(slot);
-            owner->post(std::move(cmd));
-        }
+        // Reap dead inbound connections (outbound ones persist: they own
+        // the redial schedule and the queued frames).
         conns.erase(std::remove_if(conns.begin(), conns.end(),
                                    [](const std::unique_ptr<Conn>& c) {
-                                       return c == nullptr ||
-                                              (!c->outbound && c->fd < 0);
+                                       return !c->outbound && c->fd < 0;
                                    }),
                     conns.end());
     }
+    running_world = nullptr;
 }
 
 }  // namespace wbam::net

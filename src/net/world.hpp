@@ -1,24 +1,19 @@
-// The TCP runtime: a sharded poll(2) event-loop world whose NetContext
-// implements the same Process/Context contract as the discrete-event
-// simulator, but whose channels are real sockets. One NetWorld hosts one
-// or more local processes (one per OS process in a deployed cluster — see
+// The TCP runtime: a poll(2) event-loop world whose NetContext implements
+// the same Process/Context contract as the discrete-event simulator, but
+// whose channels are real sockets. One NetWorld hosts one or more local
+// processes (one per OS process in a deployed cluster — see
 // examples/wbamd.cpp — or one per ProcessId when an in-process test wires
 // several worlds over loopback) and speaks length-prefixed frames
 // (net/frame.hpp) carrying the exact envelope bytes the simulator carries.
 //
-// Sharding (NetConfig::shards, default 1): the world runs N event-loop
-// worker threads. Ownership replaces locking — every connection's state
-// (socket, send queue, reassembler, channel cursors) is owned by exactly
-// one loop thread, chosen by the deterministic pair affinity
-// shard_for(a, b, N) (net/shard.hpp), which is symmetric so a channel and
-// its reverse (data one way, acks back) always share a loop. Each local
-// process is homed on one loop (round-robin): its handlers, timers and
-// run_on() thunks all execute there, preserving the "single-threaded per
-// process" contract. Work crossing shards — a send whose connection
-// another loop owns, a delivery for a process homed elsewhere, an
-// accepted socket whose HELLO names a pair with different affinity —
-// travels through MPSC command mailboxes woken by eventfd/self-pipe;
-// sockets are handed off whole to the owning loop.
+// One loop thread per world: every socket, send queue, channel cursor and
+// timer, and every handler of every local process, lives on it, so the
+// "single-threaded per process" contract holds without locks. The only
+// calls that come from other threads — run_on(), drop_connections(), and
+// a Context::send made off the loop — are posted as thunks to one
+// mutex-guarded queue whose first push rings a WakeFd (net/wake_fd.hpp).
+// A deployment gets multi-core parallelism from its several processes; a
+// second loop per process measured no faster (docs/ARCHITECTURE.md).
 //
 // Zero-copy at the socket boundary: Context::send queues the RETAINED
 // BufferSlice behind an inline stack-built header and the coalescing
@@ -41,17 +36,16 @@
 // that the simulator provides (and that e.g. wbcast's fire-once
 // DELIVER plane depends on). Cumulative ACKs never trigger their own
 // write: they piggyback on the next coalesced flush of the reverse
-// connection, or ride a short delayed-ack timer (NetConfig::ack_delay)
-// when no data is flowing.
+// connection, or ride a short delayed-ack timer when no data is flowing.
 //
-// Graceful-shutdown contract: shutdown() first DRAINS — frames already
-// received and local sends already queued are delivered, and outbound
-// queues are flushed to the kernel (bounded by NetConfig::drain_wait) —
-// then joins every loop thread. Quiescence is detected across shards: a
-// coordinator watches per-loop idle flags plus a global activity counter
-// until nothing moved for two consecutive checks. Pending timers do not
-// fire; messages sent while draining are flushed best-effort. Tests
-// therefore never race teardown against in-flight deliveries.
+// Graceful-shutdown contract: shutdown() makes the loop DRAIN — thunks
+// already posted run, frames already received and local sends already
+// queued are delivered, and outbound queues are flushed to the kernel —
+// then joins it. The loop exits after two consecutive turns in which
+// nothing ran, arrived or stayed queued, or after 500 ms of draining.
+// Pending timers do not fire; messages sent while draining are flushed
+// best-effort. Tests therefore never race teardown against in-flight
+// deliveries.
 #ifndef WBAM_NET_WORLD_HPP
 #define WBAM_NET_WORLD_HPP
 
@@ -74,29 +68,14 @@ struct NetConfig {
     // Address this world's listeners bind (dial targets come from the
     // ClusterMap).
     std::string bind_host = "127.0.0.1";
-    Duration dial_backoff_min = milliseconds(10);
-    Duration dial_backoff_max = seconds(1);
-    std::size_t max_frame = default_max_frame;
-    // Shutdown drain bound: how long to keep flushing outbound queues.
-    Duration drain_wait = milliseconds(500);
     // Clock epoch of Context::now(). Worlds that cooperate in one process
     // (e.g. a loopback test cluster) share one epoch so latencies measured
     // across worlds are coherent; the default (time_point{}) means "this
     // world's construction time".
     std::chrono::steady_clock::time_point epoch{};
-    // Event-loop shard count, honored in [1, 64]. One loop measures faster
-    // than several on a 4-core host; see net/shard.hpp.
+    // Must be 1: a NetWorld runs one event loop, and its constructor
+    // asserts so. Kept only because existing callers still assign it.
     int shards = 1;
-    // Coalescing flush budget per writev: iovec entries and bytes.
-    int flush_max_iov = 64;
-    std::size_t flush_max_bytes = 1 << 20;
-    // Delayed-ack bound: a cumulative ack waits at most this long for a
-    // data frame to piggyback on before it is flushed on its own (still
-    // inside a coalesced writev, never a dedicated syscall).
-    Duration ack_delay = microseconds(500);
-    // Busy-poll window: loops spin (poll timeout 0) this long before
-    // blocking, trading CPU for latency. 0 = always block.
-    Duration busy_poll = 0;
 };
 
 class NetWorld {
@@ -120,25 +99,23 @@ public:
     // whenever any remote process will be addressed.
     void set_cluster(ClusterMap map);
 
-    // Spawns the loop threads; on_start runs on each process's home loop,
+    // Spawns the loop thread; on_start of every local process runs there,
     // before any delivery.
     void start();
-    // Sleeps the caller for wall-clock `d` (the loops run meanwhile).
+    // Sleeps the caller for wall-clock `d` (the loop runs meanwhile).
     void run_for(Duration d);
-    // Runs fn(ctx) on the home loop of local process `id`, in its context
-    // (external injection: test drivers, example workloads).
+    // Runs fn(ctx) on the loop thread, in the context of local process
+    // `id` (external injection: test drivers, example workloads). Thunks
+    // posted from one thread run in the order they were posted.
     void run_on(ProcessId id, std::function<void(Context&)> fn);
-    // Drains (see the contract above), then joins every loop thread.
+    // Drains (see the contract above), then joins the loop thread.
     void shutdown();
 
     // Nanoseconds since the configured epoch; same base as every
     // NetContext::now() of this world.
     TimePoint now() const;
 
-    // Resolved event-loop count of this world.
-    int shard_count() const { return nshards_; }
-
-    // Test hook: closes every live connection (on the owning loops). The
+    // Test hook: closes every live connection (on the loop thread). The
     // next sends re-dial; exercises the reconnect path.
     void drop_connections();
 
@@ -154,7 +131,6 @@ private:
 
     Topology topo_;
     NetConfig cfg_;
-    int nshards_ = 1;
     // Boot nonce carried in every HELLO: non-deterministic on purpose (the
     // seed repeats across restarts of the same pid, and peers use an
     // incarnation CHANGE to reset their receive cursors — see frame.hpp).
@@ -165,15 +141,10 @@ private:
 
     std::vector<std::unique_ptr<Host>> hosts_;  // local processes only
     std::map<ProcessId, Host*> by_pid_;
-    std::vector<std::unique_ptr<Loop>> loops_;  // one per shard
+    std::unique_ptr<Loop> loop_;
 
-    std::atomic<TimerId> next_timer_{1};
-    // Lifecycle: draining_ starts the drain, stop_ ends the loops, and
-    // activity_ + per-loop idle flags let shutdown() detect cross-shard
-    // quiescence.
+    // Set by shutdown(): the loop drains, then exits.
     std::atomic<bool> draining_{false};
-    std::atomic<bool> stop_{false};
-    std::atomic<std::uint64_t> activity_{0};
     bool started_ = false;
 };
 

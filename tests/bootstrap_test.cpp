@@ -79,6 +79,22 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
     }
 }
 
+// Launch scripts still pass --net-shards=1; a NetWorld runs one event
+// loop, so that is the only value the flag takes.
+TEST(BootstrapArgsTest, NetShardsAcceptsOnlyOne) {
+    const auto o = parse({"--pid=0", "--base-port=9000", "--net-shards=1"});
+    ASSERT_TRUE(o.has_value());
+    EXPECT_EQ(o->net_shards, 1);
+    for (const char* arg : {"--net-shards=0", "--net-shards=2"}) {
+        std::string error;
+        EXPECT_FALSE(parse({"--pid=0", "--base-port=9000", arg}, &error)
+                         .has_value())
+            << arg << " was accepted";
+        EXPECT_NE(error.find("--net-shards"), std::string::npos)
+            << arg << ": " << error;
+    }
+}
+
 TEST(ClusterMapTest, ParseFormatRoundTrip) {
     const std::string spec = "10.0.0.1:7000,10.0.0.2:7001,host.example:65535";
     const auto map = net::parse_cluster(spec);

@@ -45,10 +45,9 @@ LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
 }
 
 void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed,
-                                bool batching = false, int shards = 1) {
+                                bool batching = false) {
     LiveClusterConfig cfg = net_config(kind, seed);
     cfg.replica.batching_enabled = batching;
-    cfg.net.shards = shards;
     LiveCluster c(cfg);
     constexpr int n = 12;
     for (int i = 0; i < n; ++i) {
@@ -89,31 +88,6 @@ TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
 // the simulator.
 TEST(NetIntegrationTest, BatchedWbcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::wbcast, 23, /*batching=*/true);
-}
-
-// The same matrix with the transport sharded onto four event loops per
-// NetWorld: connection affinity, cross-shard mailboxes, and the socket
-// handoff path all engage, and the checker result must be unchanged.
-TEST(NetIntegrationTest, WbcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 31, false, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, SkeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::skeen, 37, false, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, FtskeenDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::ftskeen, 43, false, /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, FastcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::fastcast, 47, false,
-                               /*shards=*/4);
-}
-
-TEST(NetIntegrationTest, BatchedWbcastDeliversAcrossFourShards) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 53, /*batching=*/true,
-                               /*shards=*/4);
 }
 
 // Connection lifecycle: sever every established TCP connection mid-run;
@@ -180,21 +154,18 @@ private:
     TimerId tick = invalid_timer;
 };
 
-void run_paxos_over_loopback(std::uint64_t seed, int shards) {
+TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogOverLoopbackTcp) {
     constexpr int n = 3;
     const Topology topo(1, n, 0);
     std::vector<ProcessId> members{0, 1, 2};
     std::vector<NetPaxosHost*> hosts;
-    net::NetConfig base;
-    base.shards = shards;
     const auto worlds = harness::make_loopback_worlds(
-        topo, seed,
+        topo, 41,
         [&](ProcessId) -> std::unique_ptr<Process> {
             auto host = std::make_unique<NetPaxosHost>(members, n / 2 + 1);
             hosts.push_back(host.get());
             return host;
-        },
-        base);
+        });
     for (const auto& w : worlds) w->start();
 
     constexpr int cmds = 25;
@@ -220,14 +191,6 @@ void run_paxos_over_loopback(std::uint64_t seed, int shards) {
     ASSERT_EQ(reference.size(), static_cast<std::size_t>(cmds));
     for (const NetPaxosHost* h : hosts)
         EXPECT_EQ(h->applied_snapshot(), reference);
-}
-
-TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogOverLoopbackTcp) {
-    run_paxos_over_loopback(41, /*shards=*/1);
-}
-
-TEST(NetIntegrationTest, PaxosGroupChoosesIdenticalLogAcrossFourShards) {
-    run_paxos_over_loopback(59, /*shards=*/4);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Unit and integration coverage of the sharded transport primitives
-// (net/shard.hpp, net/send_queue.hpp) and the multi-loop NetWorld:
-// affinity properties, mailbox wake semantics, writev coalescing (the
-// one-syscall-per-burst contract and its budget/partial-write edge
-// cases), and reconnect/retransmit when the channel lives on a
-// non-primary shard. The cross-world tests double as the TSan stress
-// target (CI runs this binary under -fsanitize=thread).
+// Unit and integration coverage of the TCP transport below the protocols:
+// the poll loop's wake fd (net/wake_fd.hpp), writev coalescing in the
+// send queue (the one-syscall-per-burst contract and its budget and
+// partial-write edge cases), and NetWorld itself — cross-world echo
+// traffic, reconnect/retransmit, cross-thread run_on and the shutdown
+// drain contract. The NetWorld tests double as the TSan stress target
+// (CI runs this binary under -fsanitize=thread).
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -20,58 +19,14 @@
 
 #include "net/frame.hpp"
 #include "net/send_queue.hpp"
-#include "net/shard.hpp"
+#include "net/wake_fd.hpp"
 #include "net/world.hpp"
 #include "obs/metrics.hpp"
 
 namespace wbam::net {
 namespace {
 
-// --- affinity ----------------------------------------------------------------
-
-TEST(ShardAffinityTest, TotalStableAndSymmetric) {
-    for (const int shards : {1, 2, 4, 7, 64}) {
-        for (ProcessId a = 0; a < 40; ++a) {
-            for (ProcessId b = 0; b < 40; ++b) {
-                const int s = shard_for(a, b, shards);
-                EXPECT_GE(s, 0);
-                EXPECT_LT(s, shards);
-                EXPECT_EQ(s, shard_for(a, b, shards)) << "stable";
-                EXPECT_EQ(s, shard_for(b, a, shards)) << "symmetric";
-            }
-        }
-    }
-}
-
-TEST(ShardAffinityTest, SingleShardAlwaysZero) {
-    EXPECT_EQ(shard_for(3, 9, 1), 0);
-    EXPECT_EQ(shard_for(3, 9, 0), 0);
-    EXPECT_EQ(shard_for(3, 9, -2), 0);
-}
-
-TEST(ShardAffinityTest, PairsSpreadAcrossShards) {
-    const int shards = 4;
-    std::vector<int> hits(static_cast<std::size_t>(shards), 0);
-    int pairs = 0;
-    for (ProcessId a = 0; a < 32; ++a) {
-        for (ProcessId b = a + 1; b < 32; ++b) {
-            ++hits[static_cast<std::size_t>(shard_for(a, b, shards))];
-            ++pairs;
-        }
-    }
-    // Full-avalanche mix: every shard owns a healthy share (>= half of a
-    // perfectly even split).
-    for (const int h : hits) EXPECT_GE(h, pairs / shards / 2);
-}
-
-TEST(ShardAffinityTest, ResolveShardCount) {
-    EXPECT_EQ(resolve_shard_count(1), 1);
-    EXPECT_EQ(resolve_shard_count(4), 4);
-    EXPECT_EQ(resolve_shard_count(64), 64);
-    EXPECT_EQ(resolve_shard_count(100), 64);  // explicit cap
-}
-
-// --- wake fd + mailbox -------------------------------------------------------
+// --- wake fd -----------------------------------------------------------------
 
 bool readable(int fd) {
     pollfd p{fd, POLLIN, 0};
@@ -87,54 +42,6 @@ TEST(WakeFdTest, WakeMakesPollFdReadableAndClearDrains) {
     EXPECT_TRUE(readable(w.poll_fd()));
     w.clear();
     EXPECT_FALSE(readable(w.poll_fd()));
-}
-
-TEST(MailboxTest, PushReportsEmptyToNonEmptyTransitionOnly) {
-    Mailbox<int> m;
-    EXPECT_TRUE(m.push(1));   // empty -> non-empty
-    EXPECT_FALSE(m.push(2));  // already non-empty: no second wake needed
-    const auto batch = m.drain();
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0], 1);
-    EXPECT_EQ(batch[1], 2);
-    EXPECT_TRUE(m.empty());
-    EXPECT_TRUE(m.push(3));  // transition again after the drain
-}
-
-TEST(MailboxTest, MpscStressKeepsPerProducerOrderAndWakeInvariant) {
-    Mailbox<std::pair<int, int>> m;  // (producer, seq)
-    constexpr int producers = 4;
-    constexpr int per_producer = 2000;
-    std::atomic<std::uint64_t> wakes{0};
-    std::vector<std::thread> threads;
-    for (int p = 0; p < producers; ++p) {
-        threads.emplace_back([&m, &wakes, p] {
-            for (int i = 0; i < per_producer; ++i)
-                if (m.push({p, i})) wakes.fetch_add(1);
-        });
-    }
-    std::vector<int> next(producers, 0);
-    std::size_t drained = 0;
-    std::uint64_t drains_from_nonempty = 0;
-    while (drained < producers * per_producer) {
-        const auto batch = m.drain();
-        if (batch.empty()) {
-            std::this_thread::yield();
-            continue;
-        }
-        ++drains_from_nonempty;
-        for (const auto& [p, i] : batch) {
-            EXPECT_EQ(i, next[static_cast<std::size_t>(p)]++)
-                << "per-producer FIFO";
-            ++drained;
-        }
-    }
-    for (auto& t : threads) t.join();
-    // Every observed batch began with an empty -> non-empty transition the
-    // producers reported (the wake-exactly-once-per-batch invariant).
-    EXPECT_GE(wakes.load(), 1u);
-    EXPECT_LE(wakes.load(), drains_from_nonempty + producers);
-    EXPECT_TRUE(m.empty());
 }
 
 // --- inline ack header -------------------------------------------------------
@@ -332,7 +239,7 @@ TEST(SendQueueTest, AckPrunesAndRequeueReplaysUnackedInOrder) {
     EXPECT_EQ(fills[4], 0x03);
 }
 
-// --- multi-shard worlds ------------------------------------------------------
+// --- worlds ------------------------------------------------------------------
 
 // Echoes every message back to its sender.
 class Echo final : public Process {
@@ -384,9 +291,8 @@ struct PairedWorlds {
     std::unique_ptr<NetWorld> ping_world;
     std::unique_ptr<NetWorld> echo_world;
 
-    explicit PairedWorlds(int shards) {
+    PairedWorlds() {
         NetConfig cfg;
-        cfg.shards = shards;
         cfg.epoch = std::chrono::steady_clock::now();
         ping_world = std::make_unique<NetWorld>(topo, 101, cfg);
         echo_world = std::make_unique<NetWorld>(topo, 202, cfg);
@@ -418,23 +324,8 @@ struct PairedWorlds {
     }
 };
 
-TEST(NetShardTest, ExplicitShardCountIsResolved) {
-    const Topology topo(1, 1, 1);
-    NetConfig cfg;
-    cfg.shards = 4;
-    NetWorld world(topo, 1, cfg);
-    EXPECT_EQ(world.shard_count(), 4);
-}
-
-TEST(NetShardTest, AllPairsCompleteAcrossFourShards) {
-    PairedWorlds w(4);
-    // The channels genuinely spread over loops: with 4 pairs on 4 shards at
-    // least two distinct shards own traffic (deterministic affinity).
-    std::set<int> owners;
-    for (ProcessId p = 0; p < 2 * PairedWorlds::pairs; p += 2)
-        owners.insert(shard_for(p, p + 1, 4));
-    EXPECT_GE(owners.size(), 2u);
-
+TEST(NetWorldTest, AllPairsCompleteAcrossTwoWorlds) {
+    PairedWorlds w;
     w.echo_world->start();
     w.ping_world->start();
     EXPECT_TRUE(w.await(w.target(), seconds(30)));
@@ -443,19 +334,12 @@ TEST(NetShardTest, AllPairsCompleteAcrossFourShards) {
     EXPECT_EQ(w.completed.load(), w.target());
 }
 
-TEST(NetShardTest, ReconnectRetransmitsOnNonPrimaryShard) {
-    PairedWorlds w(4);
-    // Precondition for the test's name: some channel lives on shard != 0.
-    bool non_primary = false;
-    for (ProcessId p = 0; p < 2 * PairedWorlds::pairs; p += 2)
-        non_primary |= shard_for(p, p + 1, 4) != 0;
-    ASSERT_TRUE(non_primary);
-
+TEST(NetWorldTest, ReconnectRetransmitsEveryUnackedFrame) {
+    PairedWorlds w;
     w.echo_world->start();
     w.ping_world->start();
     // Let some traffic flow, then sever every connection on both sides —
-    // unacked frames must retransmit over re-dialled sockets, wherever
-    // their owning loop lives.
+    // unacked frames must retransmit over re-dialled sockets.
     ASSERT_TRUE(w.await(w.target() / 4, seconds(30)));
     w.ping_world->drop_connections();
     w.echo_world->drop_connections();
@@ -465,38 +349,137 @@ TEST(NetShardTest, ReconnectRetransmitsOnNonPrimaryShard) {
     EXPECT_EQ(w.completed.load(), w.target());
 }
 
-TEST(NetShardTest, BusyPollWindowStillDeliversEverything) {
-    PairedWorlds w(2);
-    // Rebuild with busy-poll enabled: same contract, spinnier loops.
-    NetConfig cfg;
-    cfg.shards = 2;
-    cfg.busy_poll = microseconds(200);
-    cfg.epoch = std::chrono::steady_clock::now();
-    std::atomic<int> completed{0};
-    const Topology topo(1, 1, 3);
-    NetWorld ping(topo, 7, cfg);
-    NetWorld echo(topo, 8, cfg);
-    ping.add_process(0, std::make_unique<Pinger>(1, 100, 4, &completed));
-    ping.add_process(2, std::make_unique<Pinger>(3, 100, 4, &completed));
-    echo.add_process(1, std::make_unique<Echo>());
-    echo.add_process(3, std::make_unique<Echo>());
-    ClusterMap map;
-    map.endpoints = {{"127.0.0.1", ping.port_of(0)},
-                     {"127.0.0.1", echo.port_of(1)},
-                     {"127.0.0.1", ping.port_of(2)},
-                     {"127.0.0.1", echo.port_of(3)}};
-    ping.set_cluster(map);
-    echo.set_cluster(map);
-    echo.start();
-    ping.start();
+// Remembers the loop thread it was started on.
+class LoopThreadProbe final : public Process {
+public:
+    void on_start(Context&) override {
+        loop_thread = std::this_thread::get_id();
+    }
+    void on_message(Context&, ProcessId, const BufferSlice&) override {}
+    void on_timer(Context&, TimerId) override {}
+
+    std::thread::id loop_thread;
+};
+
+TEST(NetWorldTest, RunOnFromManyThreadsRunsEveryThunkInProducerOrder) {
+    constexpr int producers = 4;
+    constexpr int per_producer = 1000;
+    NetWorld world(Topology(1, 1, 0));
+    auto probe = std::make_unique<LoopThreadProbe>();
+    const LoopThreadProbe* loop = probe.get();
+    world.add_process(0, std::move(probe));
+    world.start();
+
+    // Written only by thunks, i.e. only on the loop thread; read after
+    // shutdown() joined it.
+    std::vector<std::pair<int, int>> ran;  // (producer, seq)
+    std::vector<std::thread::id> ran_on;
+    std::atomic<int> count{0};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < producers; ++p) {
+        threads.emplace_back([&, p] {
+            for (int i = 0; i < per_producer; ++i) {
+                world.run_on(0, [&, p, i](Context& ctx) {
+                    EXPECT_EQ(ctx.self(), 0);
+                    ran.emplace_back(p, i);
+                    ran_on.push_back(std::this_thread::get_id());
+                    count.fetch_add(1);
+                });
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (completed.load() < 200 &&
+    while (count.load() < producers * per_producer &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ping.shutdown();
-    echo.shutdown();
-    EXPECT_EQ(completed.load(), 200);
+    world.shutdown();
+
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(producers * per_producer))
+        << "every thunk runs exactly once";
+    std::vector<int> next(producers, 0);
+    for (const auto& [p, i] : ran)
+        EXPECT_EQ(i, next[static_cast<std::size_t>(p)]++)
+            << "per-producer order";
+    for (const std::thread::id id : ran_on)
+        EXPECT_EQ(id, loop->loop_thread) << "thunks run on the loop thread";
+}
+
+// Counts deliveries and checks they arrive in send order.
+class CountingSink final : public Process {
+public:
+    void on_start(Context&) override {}
+    void on_message(Context&, ProcessId, const BufferSlice& bytes) override {
+        const int seq = bytes.size() == 3 ? bytes[1] | (bytes[2] << 8) : -1;
+        if (seq == received.load()) received.fetch_add(1);
+    }
+    void on_timer(Context&, TimerId) override {}
+
+    std::atomic<int> received{0};  // in-order prefix length
+};
+
+class Idle final : public Process {
+public:
+    void on_start(Context&) override {}
+    void on_message(Context&, ProcessId, const BufferSlice&) override {}
+    void on_timer(Context&, TimerId) override {}
+};
+
+constexpr int drain_burst = 500;
+
+void send_burst(NetWorld& world, ProcessId from, ProcessId to) {
+    world.run_on(from, [to](Context& ctx) {
+        for (int i = 0; i < drain_burst; ++i)
+            ctx.send(to, Bytes{0x5a, static_cast<std::uint8_t>(i),
+                               static_cast<std::uint8_t>(i >> 8)});
+    });
+}
+
+// shutdown() right after a burst is injected still delivers all of it:
+// the drain runs posted thunks and the local sends they make.
+TEST(NetWorldTest, ShutdownDeliversALocalBurstPostedJustBefore) {
+    NetWorld world(Topology(1, 1, 1));
+    auto sink = std::make_unique<CountingSink>();
+    const CountingSink* counts = sink.get();
+    world.add_process(0, std::make_unique<Idle>());
+    world.add_process(1, std::move(sink));
+    world.start();
+    send_burst(world, 0, 1);
+    world.shutdown();
+    EXPECT_EQ(counts->received.load(), drain_burst);
+}
+
+// The same burst addressed to another world: shutdown() returns only after
+// the frames reached the kernel, so the peer receives all of them after
+// the sender's loop is gone.
+TEST(NetWorldTest, ShutdownFlushesARemoteBurstToThePeer) {
+    const Topology topo(1, 1, 1);
+    NetConfig cfg;
+    cfg.epoch = std::chrono::steady_clock::now();
+    NetWorld sender(topo, 1, cfg);
+    NetWorld receiver(topo, 2, cfg);
+    auto sink = std::make_unique<CountingSink>();
+    const CountingSink* counts = sink.get();
+    sender.add_process(0, std::make_unique<Idle>());
+    receiver.add_process(1, std::move(sink));
+    ClusterMap map;
+    map.endpoints = {{"127.0.0.1", sender.port_of(0)},
+                     {"127.0.0.1", receiver.port_of(1)}};
+    sender.set_cluster(map);
+    receiver.set_cluster(map);
+    receiver.start();
+    sender.start();
+    send_burst(sender, 0, 1);
+    sender.shutdown();
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (counts->received.load() < drain_burst &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    receiver.shutdown();
+    EXPECT_EQ(counts->received.load(), drain_burst);
 }
 
 }  // namespace
