@@ -528,10 +528,11 @@ SaturationPoint measure_saturation() {
 // What each --wal-sync mode costs per appended record, measured on a fresh
 // log file: `always` pays one fsync per record (the per-message-durability
 // floor), `group` amortizes one fsync over a whole commit batch (the mode
-// wbamd runs with — the batch boundary is the protocol's message-batch
-// flush), `off` writes without syncing (crash durability = none, the
-// write-path cost floor). Record shape models a protocol append: a small
-// Writer-encoded meta part plus a 64-byte retained payload slice.
+// wbamd runs with — the batch boundary is the end of a replica handler,
+// where the commit barrier commits), `off` writes without syncing (crash
+// durability = none, the write-path cost floor). Record shape models a
+// protocol append: a small Writer-encoded meta part plus a 64-byte
+// retained payload slice.
 
 struct DurabilityPoint {
     wal::SyncMode mode = wal::SyncMode::off;

@@ -13,15 +13,11 @@
 //   EnvelopeView/Reader parse in place, and kept subslices (including
 //   decoded AppMessage payloads) share the whole allocation. Long-lived
 //   state detaches via BufferSlice::compact()/to_bytes().
-// * Module::batch frames concatenate whole envelopes:
-//     [batch:u8][0:u8][0 varint][count:u32][count × (len varint, envelope)]
-//   Runtimes unwrap them at the receiver, dispatching each sub-envelope
-//   as its own zero-copy subslice of the frame. Batches never nest.
+// * Each wire image carries exactly one envelope. Frames are coalesced
+//   below the envelope layer, by the transport's gathered writev, never
+//   by re-framing envelopes.
 #ifndef WBAM_CODEC_WIRE_HPP
 #define WBAM_CODEC_WIRE_HPP
-
-#include <optional>
-#include <vector>
 
 #include "codec/fields.hpp"
 #include "codec/reader.hpp"
@@ -36,9 +32,12 @@ enum class Module : std::uint8_t {
     paxos = 2,   // intra-group consensus used by black-box baselines
     client = 3,  // client requests and delivery acknowledgements
     app = 4,     // application payloads layered over multicast (kv store)
-    batch = 5,   // runtime-level frame of coalesced envelopes (see above)
     ctrl = 6,    // distributed-benchmark control plane (src/ctrl/)
 };
+
+// Tag 5 is retired: it is never reused, the other tags keep their numbers
+// (they are on the wire), and EnvelopeView rejects it.
+inline constexpr std::uint8_t retired_module = 5;
 
 template <WireMessage T>
 Buffer encode_envelope(Module module, std::uint8_t type, MsgId about,
@@ -73,95 +72,13 @@ struct EnvelopeView {
 private:
     void parse() {
         const std::uint8_t m = body.u8();
-        if (m > static_cast<std::uint8_t>(Module::ctrl))
+        if (m == retired_module || m > static_cast<std::uint8_t>(Module::ctrl))
             throw DecodeError("unknown module");
         module = static_cast<Module>(m);
         type = body.u8();
         about = body.varint();
     }
 };
-
-// --- batch frames -----------------------------------------------------------
-
-// Freezes `entries` into one Module::batch frame (the format documented at
-// the top of this header; for_each_batched below is its inverse). Framing
-// necessarily duplicates the entry bytes into the contiguous image, which
-// is reported to buffer_stats like every other genuine payload copy.
-inline Buffer encode_batch_frame(const std::vector<BufferSlice>& entries) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Module::batch));
-    w.u8(0);
-    w.varint(invalid_msg);
-    const Writer::Mark count_at = w.reserve_u32();
-    for (const BufferSlice& s : entries) {
-        w.varint(s.size());
-        w.raw(s.data(), s.size());
-        buffer_stats::note_copy(s.size());
-    }
-    w.patch_u32(count_at, static_cast<std::uint32_t>(entries.size()));
-    return std::move(w).take_buffer();
-}
-
-// Cheap peek: is this wire image a Module::batch frame?
-inline bool is_batch_frame(const BufferSlice& bytes) {
-    return !bytes.empty() &&
-           bytes.data()[0] == static_cast<std::uint8_t>(Module::batch);
-}
-
-// Invokes fn(BufferSlice) for each enclosed envelope, in append order. The
-// subslices alias the frame's storage. Throws DecodeError on a malformed
-// frame (including nested batches).
-template <typename Fn>
-void for_each_batched(const BufferSlice& frame, Fn&& fn) {
-    Reader r(frame);
-    if (r.u8() != static_cast<std::uint8_t>(Module::batch))
-        throw DecodeError("not a batch frame");
-    if (r.u8() != 0) throw DecodeError("unknown batch frame type");
-    (void)r.varint();  // about (always invalid_msg)
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint64_t len = r.varint();
-        if (len > r.remaining())
-            throw DecodeError("batch entry exceeds frame");
-        BufferSlice sub = r.take_slice(static_cast<std::size_t>(len));
-        if (is_batch_frame(sub)) throw DecodeError("nested batch frame");
-        fn(sub);
-    }
-    r.expect_done();
-}
-
-// All-or-nothing frame parse: the enclosed envelopes, or nullopt if the
-// bytes merely start with the batch tag without being a well-formed frame
-// (runtimes then deliver the message verbatim — a process not speaking the
-// envelope protocol may legitimately send bytes that start with 0x05).
-inline std::optional<std::vector<BufferSlice>> parse_batch(
-    const BufferSlice& frame) {
-    std::vector<BufferSlice> subs;
-    try {
-        for_each_batched(frame, [&](const BufferSlice& sub) {
-            subs.push_back(sub);
-        });
-    } catch (const DecodeError&) {
-        return std::nullopt;
-    }
-    return subs;
-}
-
-// The one receive-side unwrap policy shared by every runtime: a
-// well-formed batch frame is delivered as its enclosed envelopes (zero-copy
-// subslices, append order); anything else — including bytes that merely
-// start with the batch tag — is delivered verbatim. `deliver` may early-out
-// internally (e.g. when the receiving process crashed mid-batch).
-template <typename Fn>
-void deliver_unwrapped(const BufferSlice& bytes, Fn&& deliver) {
-    if (is_batch_frame(bytes)) {
-        if (const auto subs = parse_batch(bytes)) {
-            for (const BufferSlice& sub : *subs) deliver(sub);
-            return;
-        }
-    }
-    deliver(bytes);
-}
 
 }  // namespace wbam::codec
 

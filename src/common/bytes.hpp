@@ -11,7 +11,7 @@
 //
 // Retention rule: a slice shares ownership of its WHOLE backing
 // allocation, so state that outlives the handler pins the full wire image
-// (or batch frame) it was cut from. Transient protocol state accepts this
+// it was cut from. Transient protocol state accepts this
 // (one shared allocation per fan-out, reclaimed on GC/compaction);
 // long-lived application state detaches deliberately via compact().
 // The full lifetime story lives in docs/ARCHITECTURE.md.

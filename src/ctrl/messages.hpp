@@ -72,7 +72,6 @@ struct BenchSpec {
     Duration heartbeat_interval = milliseconds(50);
     Duration suspect_timeout = seconds(30);
     Duration retry_interval = milliseconds(200);
-    bool batching_enabled = false;
     // Scale-out KV workload (ignored when workload == bytes): zipfian key
     // popularity over kv_keys keys, theta in permille (990 = YCSB's 0.99;
     // 0 = uniform), op mix read/cross-shard-transfer/add percentages.
@@ -88,7 +87,6 @@ struct BenchSpec {
         base.heartbeat_interval = heartbeat_interval;
         base.suspect_timeout = suspect_timeout;
         base.retry_interval = retry_interval;
-        base.batching_enabled = batching_enabled;
         return base;
     }
 
@@ -105,7 +103,6 @@ struct BenchSpec {
         w.zigzag(heartbeat_interval);
         w.zigzag(suspect_timeout);
         w.zigzag(retry_interval);
-        w.boolean(batching_enabled);
         w.u8(static_cast<std::uint8_t>(workload));
         w.varint(kv_keys);
         w.varint(kv_theta_milli);
@@ -129,7 +126,6 @@ struct BenchSpec {
         s.heartbeat_interval = r.zigzag();
         s.suspect_timeout = r.zigzag();
         s.retry_interval = r.zigzag();
-        s.batching_enabled = r.boolean();
         const std::uint8_t wl = r.u8();
         if (wl > static_cast<std::uint8_t>(WorkloadKind::kv))
             throw codec::DecodeError("unknown workload kind");

@@ -39,7 +39,7 @@ struct NodeOptions {
     // Durability: directory for this replica's write-ahead log (empty =
     // volatile). A restarted replica replays <wal_dir>/p<pid>.wal and
     // rejoins with its pre-crash state. `wal_sync` is the fsync policy:
-    // "off", "group" (one fsync per handler batch) or "always".
+    // "off", "group" (at most one fsync per handler) or "always".
     std::string wal_dir;
     std::string wal_sync = "group";
     // Observability: path for the process's metrics dump. When set, wbamd

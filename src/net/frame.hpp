@@ -5,8 +5,8 @@
 //          every connection: the peer-identity handshake, keyed by
 //          ProcessId, never by address.
 //   DATA   [seq varint][envelope bytes]               — one codec
-//          envelope (or batch frame), exactly as the simulator carries
-//          it, tagged with the channel sequence number.
+//          envelope, exactly as the simulator carries it, tagged with
+//          the channel sequence number.
 //   ACK    [upto varint]                              — cumulative ack of
 //          the REVERSE channel's DATA sequence (travels on the receiving
 //          side's own outbound connection).

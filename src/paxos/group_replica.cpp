@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/batching.hpp"
+#include "common/commit_barrier.hpp"
 #include "common/log.hpp"
 #include "wal/log.hpp"
 #include "wal/mute_context.hpp"

@@ -219,9 +219,10 @@ void MultiPaxos::handle_p2a(Context& ctx, ProcessId from, const P2aMsg& m) {
     // slots) and would re-pin the wire image mark_chosen released.
     if (!chosen_.count(m.slot)) {
         accepted_[m.slot] = {m.ballot, m.cmd};
-        // An accept is durable before the P2b leaves (commit precedes the
-        // batch flush): a quorum that counted us must find us again. The
-        // command payload rides as a retained slice of the wire image.
+        // An accept is durable before the P2b leaves (the commit barrier
+        // holds sends until commit): a quorum that counted us must find us
+        // again. The command payload rides as a retained slice of the wire
+        // image.
         if (cfg_.wal)
             cfg_.wal->append(
                 wal::tag(wal::RecordType::paxos_accepted),
@@ -270,10 +271,10 @@ void MultiPaxos::mark_chosen(Context& ctx, std::uint64_t slot, Command cmd,
     }
     // chosen_ is long-lived (kept for p1b catch-up of lagging members), so
     // the command detaches from the wire image it was decoded out of —
-    // without this, every slot would pin a full P2a envelope or batch
-    // frame. Leader-submitted commands are already compact (no copy);
-    // commands learned from CHOSEN/P1B wire messages copy once here, only
-    // when actually inserted.
+    // without this, every slot would pin a full P2a envelope. Leader-
+    // submitted commands are already compact (no copy); commands learned
+    // from CHOSEN/P1B wire messages copy once here, only when actually
+    // inserted.
     cmd.data = cmd.data.compact();
     if (const auto sub = submitted_at_.find(slot);
         sub != submitted_at_.end() && ctx.now() >= sub->second)

@@ -167,9 +167,7 @@ void World::execute(Event& ev) {
                 return;
             }
             // An idle process pays the wakeup cost; a busy one drains its
-            // backlog without it (event-loop batching). The cost covers the
-            // true wire size: a batch frame is one message worth of wakeup
-            // and per-message cost, plus its full byte count.
+            // backlog without it (event-loop batching).
             const bool idle = h.busy_until <= now_;
             const TimePoint begin = std::max(now_, h.busy_until);
             const TimePoint done =
@@ -211,7 +209,7 @@ void World::execute(Event& ev) {
     }
 }
 
-void World::dispatch_one(Host& h, ProcessId from, const BufferSlice& bytes) {
+void World::dispatch_message(Host& h, ProcessId from, const BufferSlice& bytes) {
     try {
         h.proc->on_message(h.ctx, from, bytes);
     } catch (const codec::DecodeError& err) {
@@ -222,25 +220,14 @@ void World::dispatch_one(Host& h, ProcessId from, const BufferSlice& bytes) {
     }
 }
 
-void World::dispatch_message(Host& h, ProcessId from, const BufferSlice& bytes) {
-    codec::deliver_unwrapped(bytes, [&](const BufferSlice& msg) {
-        // A handler may crash this process mid-batch; later entries of the
-        // same frame are then dropped like any other in-flight message.
-        if (h.crashed) return;
-        dispatch_one(h, from, msg);
-    });
-}
-
 // --- network --------------------------------------------------------------
 
-void World::record_one(ProcessId from, ProcessId to, const BufferSlice& bytes,
-                       std::uint32_t frame_overhead) {
+void World::record_send(ProcessId from, ProcessId to, const BufferSlice& bytes) {
     SendRecord rec;
     rec.at = now_;
     rec.from = from;
     rec.to = to;
     rec.size = static_cast<std::uint32_t>(bytes.size());
-    rec.frame_overhead = frame_overhead;
     try {
         const codec::EnvelopeView env(bytes);
         rec.module = static_cast<std::uint8_t>(env.module);
@@ -253,29 +240,6 @@ void World::record_one(ProcessId from, ProcessId to, const BufferSlice& bytes,
     if (tracing_) {
         trace_.push_back(rec);
         if (trace_keep_bodies_) trace_bodies_.push_back(bytes);
-    }
-}
-
-void World::record_send(ProcessId from, ProcessId to, const BufferSlice& bytes) {
-    if (!codec::is_batch_frame(bytes)) {
-        record_one(from, to, bytes, 0);
-        return;
-    }
-    // Expand batch frames so checkers observe individual protocol messages
-    // with true byte accounting: the framing overhead is attributed to the
-    // first enclosed record.
-    const auto subs = codec::parse_batch(bytes);
-    if (!subs) {
-        record_one(from, to, bytes, 0);  // not a well-formed frame
-        return;
-    }
-    std::uint64_t inner = 0;
-    for (const BufferSlice& sub : *subs) inner += sub.size();
-    bool first = true;
-    for (const BufferSlice& sub : *subs) {
-        record_one(from, to, sub,
-                   first ? static_cast<std::uint32_t>(bytes.size() - inner) : 0);
-        first = false;
     }
 }
 

@@ -19,8 +19,9 @@
 //
 //   off          write on commit, never fsync (crash durability = none)
 //   group_commit write + one fsync per commit() — the group-commit mode,
-//                called at the protocol's BatchingContext flush points,
-//                so durability costs one fsync per message batch
+//                called once per replica handler by the commit barrier
+//                (common/commit_barrier.hpp), so durability costs at
+//                most one fsync per handled message
 //   always       every append() commits and fsyncs individually
 //
 // Replay: open() recovers the valid record prefix into memory (slices

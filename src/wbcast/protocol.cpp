@@ -1,7 +1,7 @@
 #include "wbcast/protocol.hpp"
 
 #include "common/assert.hpp"
-#include "common/batching.hpp"
+#include "common/commit_barrier.hpp"
 #include "common/log.hpp"
 #include "wal/log.hpp"
 #include "wal/records.hpp"
@@ -127,8 +127,7 @@ void WbcastReplica::on_start(Context& ctx) {
 
 void WbcastReplica::on_message(Context& ctx, ProcessId from,
                                const BufferSlice& bytes) {
-    // Batches the leader's ACCEPT/DELIVER fan-out; WAL records land before
-    // any message of this handler leaves.
+    // WAL records land before any message of this handler leaves.
     run_handler(ctx, cfg_,
                 [&](Context& c) { dispatch_message(c, from, bytes); });
 }

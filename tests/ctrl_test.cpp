@@ -47,7 +47,6 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     spec.heartbeat_interval = milliseconds(25);
     spec.suspect_timeout = seconds(9);
     spec.retry_interval = milliseconds(321);
-    spec.batching_enabled = true;
 
     const BenchSpec out = reencode(spec);
     EXPECT_EQ(out.proto, spec.proto);
@@ -62,11 +61,9 @@ TEST(CtrlCodecTest, BenchSpecRoundTrip) {
     EXPECT_EQ(out.heartbeat_interval, spec.heartbeat_interval);
     EXPECT_EQ(out.suspect_timeout, spec.suspect_timeout);
     EXPECT_EQ(out.retry_interval, spec.retry_interval);
-    EXPECT_EQ(out.batching_enabled, spec.batching_enabled);
 
     const ReplicaConfig rc = out.replica_config();
     EXPECT_EQ(rc.heartbeat_interval, spec.heartbeat_interval);
-    EXPECT_TRUE(rc.batching_enabled);
 }
 
 TEST(CtrlCodecTest, BenchSpecKvWorkloadRoundTrip) {

@@ -44,11 +44,8 @@ LiveClusterConfig net_config(ProtocolKind kind, std::uint64_t seed) {
     return cfg;
 }
 
-void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed,
-                                bool batching = false) {
-    LiveClusterConfig cfg = net_config(kind, seed);
-    cfg.replica.batching_enabled = batching;
-    LiveCluster c(cfg);
+void run_protocol_over_loopback(ProtocolKind kind, std::uint64_t seed) {
+    LiveCluster c(net_config(kind, seed));
     constexpr int n = 12;
     for (int i = 0; i < n; ++i) {
         // Mixed destination sets exercise both the single-group path and
@@ -82,12 +79,6 @@ TEST(NetIntegrationTest, FtskeenDeliversOverLoopbackTcp) {
 
 TEST(NetIntegrationTest, FastcastDeliversOverLoopbackTcp) {
     run_protocol_over_loopback(ProtocolKind::fastcast, 19);
-}
-
-// Batch frames must unwrap at the socket boundary exactly as they do on
-// the simulator.
-TEST(NetIntegrationTest, BatchedWbcastDeliversOverLoopbackTcp) {
-    run_protocol_over_loopback(ProtocolKind::wbcast, 23, /*batching=*/true);
 }
 
 // Connection lifecycle: sever every established TCP connection mid-run;

@@ -269,13 +269,13 @@ TEST_P(PaxosGroupGolden, LeaderRestartsFromWal) {
     });
     c.run_for(milliseconds(1500));
     const Golden ftskeen{
-        {{0x4ace53e9ea242097ULL, 0xbaba28a317fe055eULL, 0x0fe0c7472a402139ULL,
-          0xaf782ac53dd87435ULL, 0x3ce13be61c48707eULL, 0x75a37a304ff2d438ULL}},
+        {{0x91e1f02ac8d3ef2cULL, 0x013a5dba7c17df4bULL, 0x2e74dfeadf0d2a34ULL,
+          0x4b9f922d5dc431ddULL, 0x6edeef8d01bc7bb7ULL, 0x7da193f5e34932d8ULL}},
         {{0xba678fb2413095c3ULL, 0xba678fb2413095c3ULL, 0xba678fb2413095c3ULL,
           0x90b8f8a6d65666c2ULL, 0x90b8f8a6d65666c2ULL, 0x90b8f8a6d65666c2ULL}}};
     const Golden fastcast{
-        {{0x438fbcfe8da6001fULL, 0x413b591a0c9b02abULL, 0xa681451c21c5d044ULL,
-          0xf53071022393139bULL, 0x86260cb8990244c4ULL, 0x3db0ccd7a55e663dULL}},
+        {{0x0bac3c12cdacb718ULL, 0x2cf1b4fea9eedb83ULL, 0x41bf1d48723484d5ULL,
+          0x8a421c7caa4b642eULL, 0xeeb9f20f24fc7cdfULL, 0x4d71d7fbead44de6ULL}},
         {{0xc02635ec77fd56cbULL, 0xc02635ec77fd56cbULL, 0xc02635ec77fd56cbULL,
           0xed23e8f4e2cf5752ULL, 0xed23e8f4e2cf5752ULL, 0xed23e8f4e2cf5752ULL}}};
     expect_golden(c, GetParam(), want(ftskeen, fastcast));

@@ -1,19 +1,21 @@
 // Substrate-level tests added alongside the benchmark cost model: CPU
-// charge accounting, idle-wakeup amortization, shared-buffer fan-out,
-// staggered leader topology, and the delivery-log bookkeeping that the
-// experiments rely on.
+// charge accounting, idle-wakeup amortization, shared-buffer fan-out, the
+// WAL commit barrier, staggered leader topology, and the delivery-log
+// bookkeeping that the experiments rely on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <tuple>
+#include <cstdio>
+#include <string>
 
-#include "common/batching.hpp"
+#include "common/commit_barrier.hpp"
 #include "harness/cluster.hpp"
+#include "multicast/api.hpp"
 #include "multicast/delivery_log.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/world.hpp"
 #include "test_util.hpp"
+#include "wal/log.hpp"
 
 namespace wbam {
 namespace {
@@ -148,23 +150,29 @@ TEST(SendManyTest, FanOutSharesStorageWithoutCopies) {
                              w.sponges[3]->received[0].second));
 }
 
-// --- BatchingContext ---------------------------------------------------------
+// --- the WAL commit barrier (run_handler) -----------------------------------
 
-// Records every send a BatchingContext flushes into it.
+// Records every send that reaches it and, when a log is attached, how many
+// commits that log had issued at the moment of the send.
 class RecordingContext final : public Context {
 public:
+    explicit RecordingContext(const wal::Log* log = nullptr) : log_(log) {}
+
     ProcessId self() const override { return 0; }
     TimePoint now() const override { return 0; }
     void send(ProcessId to, BufferSlice bytes) override {
         sent.emplace_back(to, std::move(bytes));
+        if (log_) commits_at_send.push_back(log_->stats().commits);
     }
     TimerId set_timer(Duration) override { return invalid_timer; }
     void cancel_timer(TimerId) override {}
     Rng& rng() override { return rng_; }
 
     std::vector<std::pair<ProcessId, BufferSlice>> sent;
+    std::vector<std::uint64_t> commits_at_send;
 
 private:
+    const wal::Log* log_;
     Rng rng_{1};
 };
 
@@ -176,154 +184,43 @@ Buffer tagged(std::uint8_t module, std::uint8_t tag) {
     return std::move(w).take_buffer();
 }
 
-TEST(BatchingTest, SingleMessageForwardedUnframed) {
-    RecordingContext inner;
+TEST(CommitBarrierTest, WalCommitsBeforeSendsLeaveInCallOrder) {
+    const std::string path = testing::TempDir() + "substrate_commit_barrier.wal";
+    std::remove(path.c_str());
     {
-        BatchingContext b(inner);
-        b.send(3, tagged(1, 7));
-        EXPECT_TRUE(inner.sent.empty());  // held until flush
+        wal::Log log(path, wal::SyncMode::group_commit);
+        ASSERT_TRUE(log.ok());
+        RecordingContext inner(&log);
+        ReplicaConfig cfg;
+        cfg.wal = &log;
+        run_handler(inner, cfg, [&](Context& c) {
+            log.append(1, Bytes{0x01});
+            c.send(2, tagged(1, 0));
+            c.send(1, tagged(1, 1));
+            EXPECT_TRUE(inner.sent.empty());  // held until the commit
+        });
+        EXPECT_EQ(log.stats().commits, 1u);
+        ASSERT_EQ(inner.sent.size(), 2u);
+        // The record was durable before the first send left.
+        EXPECT_EQ(inner.commits_at_send, (std::vector<std::uint64_t>{1, 1}));
+        EXPECT_EQ(inner.sent[0].first, 2);
+        EXPECT_EQ(inner.sent[0].second, BufferSlice(tagged(1, 0)));
+        EXPECT_EQ(inner.sent[1].first, 1);
+        EXPECT_EQ(inner.sent[1].second, BufferSlice(tagged(1, 1)));
     }
-    ASSERT_EQ(inner.sent.size(), 1u);
-    EXPECT_EQ(inner.sent[0].first, 3);
-    EXPECT_FALSE(codec::is_batch_frame(inner.sent[0].second));
+    std::remove(path.c_str());
 }
 
-TEST(BatchingTest, FlushOrderIsDeterministicFirstSendOrder) {
+TEST(CommitBarrierTest, WithoutWalSendsLeaveDuringTheBody) {
     RecordingContext inner;
-    {
-        BatchingContext b(inner);
-        b.send(2, tagged(1, 0));
-        b.send(1, tagged(1, 1));
-        b.send(2, tagged(1, 2));
-        b.send(3, tagged(1, 3));
-        b.send(1, tagged(1, 4));
-        EXPECT_EQ(b.pending_messages(), 5u);
-    }
-    // Destinations flush in first-send order: 2, 1, 3.
-    ASSERT_EQ(inner.sent.size(), 3u);
-    EXPECT_EQ(inner.sent[0].first, 2);
-    EXPECT_EQ(inner.sent[1].first, 1);
-    EXPECT_EQ(inner.sent[2].first, 3);
-    // Within a destination, messages keep send order.
-    const auto subs = codec::parse_batch(inner.sent[0].second);
-    ASSERT_TRUE(subs.has_value());
-    ASSERT_EQ(subs->size(), 2u);
-    EXPECT_EQ((*subs)[0], BufferSlice(tagged(1, 0)));
-    EXPECT_EQ((*subs)[1], BufferSlice(tagged(1, 2)));
-    // Single-destination message 3 left unframed.
-    EXPECT_FALSE(codec::is_batch_frame(inner.sent[2].second));
-}
-
-TEST(BatchingTest, SendManyAppendsToEveryDestination) {
-    RecordingContext inner;
-    {
-        BatchingContext b(inner);
-        b.send_many({1, 2}, tagged(1, 0));
-        b.send_many({2, 1}, tagged(1, 1));
-    }
-    ASSERT_EQ(inner.sent.size(), 2u);
-    for (const auto& [to, frame] : inner.sent) {
-        const auto subs = codec::parse_batch(frame);
-        ASSERT_TRUE(subs.has_value()) << "dest " << to;
-        ASSERT_EQ(subs->size(), 2u);
-        EXPECT_EQ((*subs)[0], BufferSlice(tagged(1, 0)));
-        EXPECT_EQ((*subs)[1], BufferSlice(tagged(1, 1)));
-    }
-}
-
-TEST(BatchingTest, OverflowFlushesEarlyKeepingOrder) {
-    RecordingContext inner;
-    {
-        BatchingContext b(inner, /*max_batch_bytes=*/32);
-        for (std::uint8_t i = 0; i < 6; ++i) b.send(1, tagged(1, i));
-    }
-    // Multiple frames to dest 1; concatenated contents preserve send order.
-    ASSERT_GE(inner.sent.size(), 2u);
-    std::vector<std::uint8_t> tags;
-    for (const auto& [to, frame] : inner.sent) {
-        EXPECT_EQ(to, 1);
-        if (const auto subs = codec::parse_batch(frame)) {
-            for (const auto& s : *subs) tags.push_back(s.data()[1]);
-        } else {
-            tags.push_back(frame.data()[1]);  // lone unframed message
-        }
-    }
-    EXPECT_EQ(tags, (std::vector<std::uint8_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(BatchingTest, BatchedFrameUnwrappedByWorld) {
-    SpongeWorld w(3, sim::CpuModel{});
-    w.world.enable_send_trace(true);
-    w.world.at(0, [&] {
-        BatchingContext b(*w.sponges[0]->ctx);
-        b.send(1, tagged(1, 0));
-        b.send(1, tagged(1, 1));
-        b.send(2, tagged(1, 2));
+    const ReplicaConfig cfg;  // wal == nullptr
+    run_handler(inner, cfg, [&](Context& c) {
+        c.send(3, tagged(1, 7));
+        EXPECT_EQ(&c, &inner);  // no decorator in the way
+        ASSERT_EQ(inner.sent.size(), 1u);
+        EXPECT_EQ(inner.sent[0].first, 3);
     });
-    w.world.run_for(milliseconds(5));
-    // Receiver sees the individual envelopes, not the frame.
-    ASSERT_EQ(w.sponges[1]->received.size(), 2u);
-    EXPECT_EQ(w.sponges[1]->received[0].second, BufferSlice(tagged(1, 0)));
-    EXPECT_EQ(w.sponges[1]->received[1].second, BufferSlice(tagged(1, 1)));
-    // Both sub-messages alias the one batch frame allocation.
-    EXPECT_TRUE(same_storage(w.sponges[1]->received[0].second,
-                             w.sponges[1]->received[1].second));
-    ASSERT_EQ(w.sponges[2]->received.size(), 1u);
-    // The send trace also records per-envelope, with framing overhead
-    // attributed to the first record of each frame.
-    ASSERT_EQ(w.world.send_trace().size(), 3u);
-    EXPECT_GT(w.world.send_trace()[0].frame_overhead, 0u);
-    EXPECT_EQ(w.world.send_trace()[1].frame_overhead, 0u);
-}
-
-// End-to-end: a batched wbcast cluster still checker-verifies, and its
-// delivery schedule is deterministic run to run.
-std::vector<std::tuple<ProcessId, TimePoint, MsgId>> run_batched_wbcast(
-    std::uint64_t seed) {
-    harness::ClusterConfig cfg;
-    cfg.kind = harness::ProtocolKind::wbcast;
-    cfg.groups = 3;
-    cfg.group_size = 3;
-    cfg.clients = 2;
-    cfg.seed = seed;
-    cfg.replica.batching_enabled = true;
-    harness::Cluster c(cfg);
-    Rng rng(seed * 31);
-    testutil::random_workload(c, rng, 40, milliseconds(50), 3);
-    c.run_for(seconds(2));
-    EXPECT_TRUE(c.check().ok()) << c.check().summary();
-    std::vector<std::tuple<ProcessId, TimePoint, MsgId>> deliveries;
-    for (const auto& [replica, events] : c.log().deliveries())
-        for (const DeliveryEvent& ev : events)
-            deliveries.emplace_back(replica, ev.at, ev.msg);
-    std::sort(deliveries.begin(), deliveries.end());
-    return deliveries;
-}
-
-TEST(BatchingTest, BatchedWbcastIsCorrectAndDeterministic) {
-    const auto a = run_batched_wbcast(11);
-    EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, run_batched_wbcast(11));
-}
-
-// The black-box baselines batch their paxos phase-2 fan-out the same way.
-TEST(BatchingTest, BatchedBaselinesStillCheckerVerify) {
-    for (const auto kind :
-         {harness::ProtocolKind::ftskeen, harness::ProtocolKind::fastcast}) {
-        harness::ClusterConfig cfg;
-        cfg.kind = kind;
-        cfg.groups = 2;
-        cfg.group_size = 3;
-        cfg.clients = 1;
-        cfg.seed = 5;
-        cfg.replica.batching_enabled = true;
-        harness::Cluster c(cfg);
-        Rng rng(17);
-        testutil::random_workload(c, rng, 15, milliseconds(40), 2);
-        c.run_for(seconds(3));
-        EXPECT_TRUE(c.check().ok())
-            << harness::to_string(kind) << ": " << c.check().summary();
-    }
+    EXPECT_EQ(inner.sent.size(), 1u);
 }
 
 TEST(TopologyTest, StaggeredLeadersRotateAcrossIndices) {

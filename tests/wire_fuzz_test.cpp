@@ -192,28 +192,23 @@ TEST_P(SliceFuzz, AliasingReadsStayInsideTheirSlice) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SliceFuzz, ::testing::Values(1, 2, 3, 4, 5));
 
-// Garbage that happens to start with the batch tag must neither crash the
-// frame parser nor get half-dispatched: parse_batch is all-or-nothing.
-class BatchFrameFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+// Module tag 5 is retired: an envelope that starts with it must be
+// rejected whatever follows, never decoded as a nameless Module.
+class RetiredTagFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(BatchFrameFuzz, GarbageFramesParseOrRejectAtomically) {
+TEST_P(RetiredTagFuzz, EnvelopesWithRetiredTagAreRejected) {
     Rng rng(GetParam() * 2357);
     for (int trial = 0; trial < 300; ++trial) {
         Bytes junk(rng.next_below(48) + 1);
-        junk[0] = static_cast<std::uint8_t>(codec::Module::batch);
+        junk[0] = 0x05;
         for (std::size_t i = 1; i < junk.size(); ++i)
             junk[i] = static_cast<std::uint8_t>(rng.next_u64());
-        const BufferSlice frame{std::move(junk)};
-        const auto subs = codec::parse_batch(frame);
-        if (!subs) continue;
-        for (const BufferSlice& sub : *subs) {
-            EXPECT_GE(sub.data(), frame.data());
-            EXPECT_LE(sub.data() + sub.size(), frame.data() + frame.size());
-        }
+        EXPECT_THROW(codec::EnvelopeView{BufferSlice{std::move(junk)}},
+                     codec::DecodeError);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchFrameFuzz, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Seeds, RetiredTagFuzz, ::testing::Values(1, 2, 3));
 
 // A replica bombarded with random garbage bytes must neither crash nor
 // corrupt an ongoing run. (Decode failures surface as DecodeError from
