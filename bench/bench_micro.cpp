@@ -9,6 +9,9 @@
 // accounting, so the perf trajectory of the wire path is machine-readable
 // across PRs.
 #include <benchmark/benchmark.h>
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -28,6 +31,7 @@
 #include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "multicast/message.hpp"
+#include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage.hpp"
@@ -523,6 +527,71 @@ SaturationPoint measure_saturation() {
     return out;
 }
 
+// --- receive path -------------------------------------------------------------
+//
+// The real socket read path (net::FrameReassembler::read_from, what every
+// NetWorld connection runs) over a socketpair: each round the writer
+// sends a burst of frames in one write, as a coalesced writev would, and
+// the reader reads and emits them. BENCH_micro.json's "receive" section
+// reports wall ns per read (read_from calls only) and the bytes each read
+// freezes into a receive image: the capacity a retained frame slice pins,
+// equal to the bytes read when images are sized to the socket.
+
+struct ReceivePoint {
+    int frames_per_write = 0;
+    std::size_t frame_bytes = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t frames = 0;
+    std::uint64_t bytes_read = 0;
+    std::uint64_t bytes_frozen = 0;
+    std::uint64_t bytes_copied = 0;
+    double ns = 0;
+};
+
+ReceivePoint measure_receive() {
+    const bool quick = std::getenv("WBAM_BENCH_QUICK") != nullptr;
+    const int rounds = quick ? 2000 : 20000;
+    ReceivePoint out;
+    out.frames_per_write = 3;
+    out.frame_bytes = 300;  // about an mc2g-wbcast protocol frame
+    Bytes burst;
+    for (int i = 0; i < out.frames_per_write; ++i) {
+        const auto hdr =
+            net::frame_header(out.frame_bytes - net::frame_header_size);
+        burst.insert(burst.end(), hdr.begin(), hdr.end());
+        burst.resize(burst.size() + out.frame_bytes - net::frame_header_size,
+                     0x5a);
+    }
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return out;
+    ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+    net::FrameReassembler rx;
+    const std::uint64_t reads0 = net::transport_stats::read_calls();
+    const std::uint64_t frozen0 = buffer_stats::bytes_frozen();
+    const std::uint64_t copied0 = buffer_stats::bytes_copied();
+    std::chrono::steady_clock::duration spent{};
+    for (int r = 0; r < rounds; ++r) {
+        if (::write(fds[1], burst.data(), burst.size()) !=
+            static_cast<ssize_t>(burst.size()))
+            break;
+        const auto start = std::chrono::steady_clock::now();
+        rx.read_from(fds[0], 64 * 1024, [&](const BufferSlice& frame) {
+            ++out.frames;
+            out.bytes_read += net::frame_header_size + frame.size();
+            return true;
+        });
+        spent += std::chrono::steady_clock::now() - start;
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+    out.reads = net::transport_stats::read_calls() - reads0;
+    out.bytes_frozen = buffer_stats::bytes_frozen() - frozen0;
+    out.bytes_copied = buffer_stats::bytes_copied() - copied0;
+    out.ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(spent).count());
+    return out;
+}
+
 // --- WAL durability cost ------------------------------------------------------
 //
 // What each --wal-sync mode costs per appended record, measured on a fresh
@@ -717,6 +786,35 @@ void write_bench_json() {
                      static_cast<unsigned long long>(s.median.writev_calls),
                      s.frames_per_writev,
                      s.median.completed ? "true" : "false");
+    }
+    std::fprintf(f, "  },\n");
+    // Receive path: the sized socket read, one image per read.
+    std::fprintf(f, "  \"receive\": {\n");
+    {
+        const ReceivePoint r = measure_receive();
+        const double reads =
+            r.reads > 0 ? static_cast<double>(r.reads) : 1.0;
+        std::fprintf(f,
+                     "    \"scenario\": \"socketpair; each round writes %d "
+                     "frames of %zu bytes in one write, then "
+                     "FrameReassembler::read_from reads and emits them\",\n",
+                     r.frames_per_write, r.frame_bytes);
+        std::fprintf(f,
+                     "    \"reads\": %llu, \"frames\": %llu, "
+                     "\"ns_per_read\": %.0f,\n"
+                     "    \"bytes_read_per_read\": %.1f, "
+                     "\"bytes_frozen_per_read\": %.1f, "
+                     "\"bytes_copied_per_read\": %.1f\n",
+                     static_cast<unsigned long long>(r.reads),
+                     static_cast<unsigned long long>(r.frames), r.ns / reads,
+                     static_cast<double>(r.bytes_read) / reads,
+                     static_cast<double>(r.bytes_frozen) / reads,
+                     static_cast<double>(r.bytes_copied) / reads);
+        std::fprintf(stderr,
+                     "receive: %.0f ns/read, %.1f bytes read and %.1f frozen "
+                     "per read\n",
+                     r.ns / reads, static_cast<double>(r.bytes_read) / reads,
+                     static_cast<double>(r.bytes_frozen) / reads);
     }
     std::fprintf(f, "  },\n");
     // WAL durability: per-append cost of the three --wal-sync modes on a

@@ -11,16 +11,21 @@
 //
 // Retention rule: a slice shares ownership of its WHOLE backing
 // allocation, so state that outlives the handler pins the full wire image
-// it was cut from. Transient protocol state accepts this
-// (one shared allocation per fan-out, reclaimed on GC/compaction);
-// long-lived application state detaches deliberately via compact().
-// The full lifetime story lives in docs/ARCHITECTURE.md.
+// it was cut from. On the TCP runtime that image is one read(2)'s bytes,
+// sized to what the socket held (net/frame.hpp), so a retained slice pins
+// at most one read's bytes, never a fixed-size receive buffer. Transient
+// protocol state accepts this (one shared allocation per fan-out or per
+// read, reclaimed on GC/compaction); long-lived application state
+// detaches deliberately via compact(). The full lifetime story lives in
+// docs/ARCHITECTURE.md.
 //
 // Copy accounting: every place that genuinely duplicates payload bytes
 // (freezing an lvalue Bytes, Reader::bytes(), BufferSlice::to_bytes(),
 // a detaching compact()) reports to buffer_stats. bench_micro uses these
 // counters to demonstrate the fan-out copy reduction over the seed's
-// copy-per-recipient path.
+// copy-per-recipient path. buffer_stats also sums the capacity of every
+// Buffer it freezes (bytes_frozen), which makes slack behind retained
+// slices visible.
 #ifndef WBAM_COMMON_BYTES_HPP
 #define WBAM_COMMON_BYTES_HPP
 
@@ -48,12 +53,19 @@ inline std::atomic<std::uint64_t>& buffers_frozen_counter() {
     static std::atomic<std::uint64_t> v{0};
     return v;
 }
+inline std::atomic<std::uint64_t>& bytes_frozen_counter() {
+    static std::atomic<std::uint64_t> v{0};
+    return v;
+}
 
 inline void note_copy(std::size_t n) {
     bytes_copied_counter().fetch_add(n, std::memory_order_relaxed);
 }
-inline void note_freeze() {
+// `capacity` is the allocation the frozen Buffer keeps alive, slack
+// included: what a retained slice of it pins.
+inline void note_freeze(std::size_t capacity) {
     buffers_frozen_counter().fetch_add(1, std::memory_order_relaxed);
+    bytes_frozen_counter().fetch_add(capacity, std::memory_order_relaxed);
 }
 inline std::uint64_t bytes_copied() {
     return bytes_copied_counter().load(std::memory_order_relaxed);
@@ -61,9 +73,13 @@ inline std::uint64_t bytes_copied() {
 inline std::uint64_t buffers_frozen() {
     return buffers_frozen_counter().load(std::memory_order_relaxed);
 }
+inline std::uint64_t bytes_frozen() {
+    return bytes_frozen_counter().load(std::memory_order_relaxed);
+}
 inline void reset() {
     bytes_copied_counter().store(0, std::memory_order_relaxed);
     buffers_frozen_counter().store(0, std::memory_order_relaxed);
+    bytes_frozen_counter().store(0, std::memory_order_relaxed);
 }
 
 }  // namespace buffer_stats
@@ -75,9 +91,9 @@ class BufferSlice;
 class Buffer {
 public:
     Buffer() = default;
-    explicit Buffer(Bytes bytes)
-        : storage_(std::make_shared<const Bytes>(std::move(bytes))) {
-        buffer_stats::note_freeze();
+    explicit Buffer(Bytes bytes) {
+        buffer_stats::note_freeze(bytes.capacity());
+        storage_ = std::make_shared<const Bytes>(std::move(bytes));
     }
 
     // Freezes a copy of `n` bytes (counted as a genuine payload copy).

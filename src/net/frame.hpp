@@ -24,26 +24,35 @@
 //   seq varint) plus the RETAINED BufferSlice the protocol handed to
 //   Context::send — one writev of header + slice, no byte is copied into
 //   a transport buffer.
-// * Receive side: FrameReassembler reads straight into a growing byte
-//   buffer; once at least one complete frame is present, the buffer is
-//   frozen into an immutable Buffer and every complete frame is emitted
-//   as a zero-copy subslice of it (protocols then decode in place, as
-//   everywhere else). Only a partial trailing frame is carried over into
-//   the next receive image — a bounded, counted copy of at most one
-//   frame prefix.
+// * Receive side: FrameReassembler::read_from asks the socket how many
+//   bytes it holds (FIONREAD) and reads exactly that many, capped at one
+//   read chunk, straight into the receive image — no fixed-size buffer
+//   is allocated or zero-filled per read, and no read ends in EAGAIN.
+//   Once at least one complete frame is present, the image is frozen
+//   into an immutable Buffer holding just the bytes read, and every
+//   complete frame is emitted as a zero-copy subslice of it (protocols
+//   then decode in place, as everywhere else), so a retained frame pins
+//   at most one read's bytes. Only a partial trailing frame is carried
+//   over into the next receive image — a bounded, counted copy of at
+//   most one frame prefix.
 #ifndef WBAM_NET_FRAME_HPP
 #define WBAM_NET_FRAME_HPP
 
+#include <sys/ioctl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "codec/reader.hpp"
 #include "codec/writer.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
+#include "net/stats.hpp"
 
 namespace wbam::net {
 
@@ -191,21 +200,53 @@ public:
     explicit FrameReassembler(std::size_t max_frame = default_max_frame)
         : max_frame_(max_frame) {}
 
-    // Writable window for the next read(2): at least `min_space` bytes at
-    // the tail of the pending image. Call commit(n) with the byte count the
-    // socket actually produced.
-    std::uint8_t* write_ptr(std::size_t min_space) {
-        if (pending_.size() < filled_ + min_space)
-            pending_.resize(filled_ + min_space);
-        return pending_.data() + filled_;
-    }
-    std::size_t write_space() const { return pending_.size() - filled_; }
-    void commit(std::size_t n) { filled_ += n; }
+    enum class ReadStatus { open, closed, malformed };
 
-    // Test/driver convenience: append bytes already in hand.
+    // Reads what the nonblocking socket `fd` holds and emits fn(payload) for
+    // every frame that completes; fn returns false to reject a frame, which
+    // makes the stream malformed and drops the frames after it. Each
+    // read(2) is sized to the bytes the socket holds (FIONREAD), capped at
+    // `max_read`, so the image it fills allocates exactly the bytes read.
+    // Only a capped read is followed by another: the caller's
+    // level-triggered poll reports whatever arrives later, so no read ends
+    // in EAGAIN. A readable socket with nothing queued gets one 1-byte
+    // read, which reports EOF or an error as `closed`.
+    template <typename Fn>
+    ReadStatus read_from(int fd, std::size_t max_read, Fn&& fn) {
+        for (;;) {
+            int queued = 0;
+            if (::ioctl(fd, FIONREAD, &queued) < 0) queued = 0;
+            const std::size_t want =
+                queued > 0
+                    ? std::min(static_cast<std::size_t>(queued), max_read)
+                    : 1;
+            if (filled_ >= frame_header_size) {
+                // A frame is part-read and its length is known: size the
+                // image for all of it once, so capped reads fill it in place.
+                const std::size_t len = get_frame_header(pending_.data());
+                if (len <= max_frame_)
+                    pending_.reserve(frame_header_size + len);
+            }
+            const ssize_t n = ::read(fd, write_ptr(want), want);
+            if (n < 0 && errno == EINTR) continue;
+            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+                return ReadStatus::open;
+            if (n <= 0) return ReadStatus::closed;
+            transport_stats::note_read();
+            filled_ += static_cast<std::size_t>(n);
+            bool rejected = false;
+            const bool ok = drain([&](const BufferSlice& payload) {
+                if (!rejected && !fn(payload)) rejected = true;
+            });
+            if (!ok || rejected) return ReadStatus::malformed;
+            if (static_cast<std::size_t>(n) < max_read) return ReadStatus::open;
+        }
+    }
+
+    // Appends bytes already in hand (tests, probes).
     void feed(const std::uint8_t* data, std::size_t n) {
         std::memcpy(write_ptr(n), data, n);
-        commit(n);
+        filled_ += n;
     }
 
     // Emits fn(BufferSlice payload) for every complete frame, in order.
@@ -215,17 +256,15 @@ public:
     // than max_frame.
     template <typename Fn>
     bool drain(Fn&& fn) {
-        std::vector<std::pair<std::size_t, std::size_t>> frames;
-        std::size_t pos = 0;
-        while (filled_ - pos >= frame_header_size) {
-            const std::uint32_t len = get_frame_header(pending_.data() + pos);
+        std::size_t end = 0;  // end of the last complete frame
+        while (filled_ - end >= frame_header_size) {
+            const std::uint32_t len = get_frame_header(pending_.data() + end);
             if (len > max_frame_) return false;
-            if (filled_ - pos - frame_header_size < len) break;
-            frames.emplace_back(pos + frame_header_size, len);
-            pos += frame_header_size + len;
+            if (filled_ - end - frame_header_size < len) break;
+            end += frame_header_size + len;
         }
-        if (frames.empty()) return true;
-        const std::size_t tail = filled_ - pos;
+        if (end == 0) return true;
+        const std::size_t tail = filled_ - end;
         pending_.resize(filled_);  // shrink: no reallocation, no copy
         const Buffer image(std::move(pending_));
         pending_ = Bytes();
@@ -235,10 +274,14 @@ public:
             // place the receive path genuinely copies, bounded by a single
             // frame prefix and counted like every other real copy.
             buffer_stats::note_copy(tail);
-            pending_.assign(image.data() + pos, image.data() + pos + tail);
+            pending_.assign(image.data() + end, image.data() + end + tail);
             filled_ = tail;
         }
-        for (const auto& [off, len] : frames) fn(image.slice(off, len));
+        for (std::size_t pos = 0; pos < end;) {
+            const std::uint32_t len = get_frame_header(image.data() + pos);
+            fn(image.slice(pos + frame_header_size, len));
+            pos += frame_header_size + len;
+        }
         return true;
     }
 
@@ -246,6 +289,12 @@ public:
     std::size_t buffered() const { return filled_; }
 
 private:
+    // Writable window of `n` bytes at the tail of the pending image.
+    std::uint8_t* write_ptr(std::size_t n) {
+        if (pending_.size() < filled_ + n) pending_.resize(filled_ + n);
+        return pending_.data() + filled_;
+    }
+
     std::size_t max_frame_;
     Bytes pending_;
     std::size_t filled_ = 0;

@@ -41,6 +41,9 @@ void set_nodelay(int fd) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+// Cap on one read(2); each read is sized to the bytes the socket holds
+// (FrameReassembler::read_from), so this bounds a receive image, it is
+// not allocated per read.
 constexpr std::size_t read_chunk = 64 * 1024;
 // Redial backoff of a dead outbound connection: doubles from min to max.
 constexpr Duration dial_backoff_min = milliseconds(10);
@@ -603,38 +606,20 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
 }
 
 bool NetWorld::Loop::read_conn(Conn& c) {
-    for (;;) {
-        std::uint8_t* p = c.in.write_ptr(read_chunk);
-        const ssize_t n = ::read(c.fd, p, c.in.write_space());
-        if (n > 0) {
-            transport_stats::note_read();
-            read_progress = true;  // progress marker for the shutdown drain
-            c.in.commit(static_cast<std::size_t>(n));
-            bool malformed = false;
-            std::uint64_t frames = 0;
-            const bool ok = c.in.drain([&](const BufferSlice& payload) {
-                if (malformed) return;
-                ++frames;
-                if (!on_frame(c, payload)) malformed = true;
-            });
-            transport_stats::note_frames_received(frames);
-            if (!ok || malformed) {
-                log::info("net: dropping malformed connection (local p",
-                          c.local, ")");
-                c.outbound ? conn_dead(c) : close_conn(c);
-                return false;
-            }
-            continue;
-        }
-        if (n == 0) {  // peer closed
-            c.outbound ? conn_dead(c) : close_conn(c);
-            return false;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        if (errno == EINTR) continue;
-        c.outbound ? conn_dead(c) : close_conn(c);
-        return false;
-    }
+    read_progress = true;  // progress marker for the shutdown drain
+    std::uint64_t frames = 0;
+    const auto status =
+        c.in.read_from(c.fd, read_chunk, [&](const BufferSlice& payload) {
+            ++frames;
+            return on_frame(c, payload);
+        });
+    transport_stats::note_frames_received(frames);
+    if (status == FrameReassembler::ReadStatus::open) return true;
+    if (status == FrameReassembler::ReadStatus::malformed)
+        log::info("net: dropping malformed connection (local p", c.local,
+                  ")");
+    c.outbound ? conn_dead(c) : close_conn(c);
+    return false;
 }
 
 void NetWorld::deliver(Host& h, ProcessId from, const BufferSlice& frame) {

@@ -249,6 +249,7 @@ MetricsSnapshot MetricsSnapshot::delta_since(const MetricsSnapshot& base) const 
 MetricsRegistry::MetricsRegistry() {
     register_adapter("buffer/bytes_copied", &buffer_stats::bytes_copied);
     register_adapter("buffer/buffers_frozen", &buffer_stats::buffers_frozen);
+    register_adapter("buffer/bytes_frozen", &buffer_stats::bytes_frozen);
     register_adapter("net/writev_calls", &net::transport_stats::writev_calls);
     register_adapter("net/frames_sent", &net::transport_stats::frames_sent);
     register_adapter("net/read_calls", &net::transport_stats::read_calls);

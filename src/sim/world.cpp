@@ -260,18 +260,7 @@ void World::send_many_from(ProcessId from, const std::vector<ProcessId>& to,
                            BufferSlice bytes) {
     // Every recipient shares the slice's storage: the fan-out costs one
     // refcount bump per recipient, zero byte copies.
-    for (const ProcessId t : to) {
-        WBAM_ASSERT(t >= 0 && static_cast<std::size_t>(t) < hosts_.size());
-        if (tracing_ || send_hook_) record_send(from, t, bytes);
-        const std::uint64_t undirected =
-            link_key(std::min(from, t), std::max(from, t));
-        if (severed_links_.count(undirected)) continue;  // lost on the wire
-        if (blocked_links_.count(undirected)) {
-            held_[link_key(from, t)].push_back(bytes);
-            continue;
-        }
-        schedule_arrival(from, t, bytes);
-    }
+    for (const ProcessId t : to) send_from(from, t, bytes);
 }
 
 void World::schedule_arrival(ProcessId from, ProcessId to, Payload payload) {

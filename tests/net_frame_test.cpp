@@ -2,13 +2,21 @@
 // identity handshake, and FrameReassembler under adversarial
 // fragmentation — byte-by-byte reads, several frames per read, reads
 // ending mid-header and mid-payload, and the zero-copy guarantee that
-// frames completed in one receive image alias one frozen buffer.
+// frames completed in one receive image alias one frozen buffer. The
+// socket read path (FrameReassembler::read_from) runs over a socketpair:
+// each read is sized to the queued bytes, so an image holds exactly what
+// was read.
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/frame.hpp"
+#include "obs/metrics.hpp"
 
 namespace wbam::net {
 namespace {
@@ -202,6 +210,124 @@ TEST(NetFrameTest, EmptyFramesAreDelivered) {
         ++count;
     }));
     EXPECT_EQ(count, 1);
+}
+
+// --- the socket read path ----------------------------------------------------
+
+// A connected pair whose reading end `rd` is nonblocking, like every
+// NetWorld socket.
+struct SocketPair {
+    int rd = -1;
+    int wr = -1;
+    SocketPair() {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
+            rd = fds[0];
+            wr = fds[1];
+            ::fcntl(rd, F_SETFL, O_NONBLOCK);
+        }
+    }
+    ~SocketPair() {
+        if (rd >= 0) ::close(rd);
+        if (wr >= 0) ::close(wr);
+    }
+    void write_all(const Bytes& b) const {
+        ASSERT_EQ(::write(wr, b.data(), b.size()),
+                  static_cast<ssize_t>(b.size()));
+    }
+};
+
+Bytes frames_of(const std::vector<Bytes>& payloads) {
+    Bytes stream;
+    for (const Bytes& p : payloads) {
+        const Bytes f = make_frame(p);
+        stream.insert(stream.end(), f.begin(), f.end());
+    }
+    return stream;
+}
+
+TEST(NetFrameTest, SocketReadFreezesOneImageOfExactlyTheQueuedBytes) {
+    SocketPair sp;
+    ASSERT_GE(sp.rd, 0);
+    const std::vector<Bytes> payloads = {payload_of(20, 1), payload_of(7, 2),
+                                         payload_of(300, 3)};
+    const Bytes stream = frames_of(payloads);
+    sp.write_all(stream);  // three frames in one write
+
+    const obs::CounterDelta delta;
+    FrameReassembler r;
+    std::vector<BufferSlice> got;
+    EXPECT_EQ(r.read_from(sp.rd, 64 * 1024,
+                          [&](const BufferSlice& s) {
+                              got.push_back(s);
+                              return true;
+                          }),
+              FrameReassembler::ReadStatus::open);
+    ASSERT_EQ(got.size(), payloads.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], payloads[i]);
+        EXPECT_TRUE(same_storage(got[i], got[0]));
+    }
+    // The image holds exactly the bytes read — no read-chunk slack — and
+    // one read fetched them: none ended in EAGAIN.
+    EXPECT_EQ(got[0].buffer().size(), stream.size());
+    EXPECT_EQ(delta("buffer/bytes_frozen"), stream.size());
+    EXPECT_EQ(delta("buffer/buffers_frozen"), 1u);
+    EXPECT_EQ(delta("net/read_calls"), 1u);
+    EXPECT_EQ(r.buffered(), 0u);
+}
+
+TEST(NetFrameTest, CappedSocketReadsContinueUntilTheQueueIsRead) {
+    SocketPair sp;
+    ASSERT_GE(sp.rd, 0);
+    std::vector<Bytes> payloads;
+    for (int i = 0; i < 6; ++i)
+        payloads.push_back(payload_of(static_cast<std::size_t>(5 + 9 * i),
+                                      static_cast<std::uint8_t>(i)));
+    const Bytes stream = frames_of(payloads);
+    sp.write_all(stream);
+
+    // A 16-byte cap splits frames across reads: partial tails carry over,
+    // and a capped read is followed by another in the same call.
+    FrameReassembler r;
+    std::vector<Bytes> got;
+    EXPECT_EQ(r.read_from(sp.rd, 16,
+                          [&](const BufferSlice& s) {
+                              got.emplace_back(s.begin(), s.end());
+                              return true;
+                          }),
+              FrameReassembler::ReadStatus::open);
+    EXPECT_EQ(got, payloads);
+    EXPECT_EQ(r.buffered(), 0u);
+}
+
+TEST(NetFrameTest, PeerCloseWithNothingQueuedIsEof) {
+    SocketPair sp;
+    ASSERT_GE(sp.rd, 0);
+    ::close(sp.wr);
+    sp.wr = -1;
+    FrameReassembler r;
+    EXPECT_EQ(r.read_from(sp.rd, 64 * 1024,
+                          [](const BufferSlice&) {
+                              ADD_FAILURE() << "nothing was sent";
+                              return true;
+                          }),
+              FrameReassembler::ReadStatus::closed);
+}
+
+TEST(NetFrameTest, RejectedFrameMakesTheSocketStreamMalformed) {
+    SocketPair sp;
+    ASSERT_GE(sp.rd, 0);
+    sp.write_all(frames_of({payload_of(4, 1), payload_of(4, 2)}));
+    FrameReassembler r;
+    int seen = 0;
+    EXPECT_EQ(r.read_from(sp.rd, 64 * 1024,
+                          [&](const BufferSlice&) {
+                              ++seen;
+                              return false;
+                          }),
+              FrameReassembler::ReadStatus::malformed);
+    EXPECT_EQ(seen, 1) << "frames after a rejected one are dropped";
 }
 
 }  // namespace

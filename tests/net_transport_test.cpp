@@ -84,11 +84,11 @@ BufferSlice body_of(std::size_t n, std::uint8_t fill) {
 
 // Reads everything currently buffered on `fd` into the reassembler.
 void pump(int fd, FrameReassembler& rx) {
+    std::uint8_t chunk[4096];
     for (;;) {
-        std::uint8_t* dst = rx.write_ptr(4096);
-        const ssize_t n = ::recv(fd, dst, 4096, MSG_DONTWAIT);
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
         if (n <= 0) break;
-        rx.commit(static_cast<std::size_t>(n));
+        rx.feed(chunk, static_cast<std::size_t>(n));
     }
 }
 
@@ -480,6 +480,58 @@ TEST(NetWorldTest, ShutdownFlushesARemoteBurstToThePeer) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     receiver.shutdown();
     EXPECT_EQ(counts->received.load(), drain_burst);
+}
+
+// Keeps a copy of the one message it expects.
+class PayloadSink final : public Process {
+public:
+    void on_start(Context&) override {}
+    void on_message(Context&, ProcessId, const BufferSlice& bytes) override {
+        got = Bytes(bytes.begin(), bytes.end());
+        arrived.store(true);
+    }
+    void on_timer(Context&, TimerId) override {}
+
+    Bytes got;  // written on the receiver's loop; read after `arrived`
+    std::atomic<bool> arrived{false};
+};
+
+// A 1 MiB frame spans many capped reads (each at most one read chunk) and
+// usually a partial tail carried from one receive image to the next; it
+// must arrive byte-identical.
+TEST(NetWorldTest, FrameLargerThanOneReadArrivesIntact) {
+    const Topology topo(1, 1, 1);
+    NetConfig cfg;
+    cfg.epoch = std::chrono::steady_clock::now();
+    NetWorld sender(topo, 1, cfg);
+    NetWorld receiver(topo, 2, cfg);
+    auto sink = std::make_unique<PayloadSink>();
+    PayloadSink* got = sink.get();
+    sender.add_process(0, std::make_unique<Idle>());
+    receiver.add_process(1, std::move(sink));
+    ClusterMap map;
+    map.endpoints = {{"127.0.0.1", sender.port_of(0)},
+                     {"127.0.0.1", receiver.port_of(1)}};
+    sender.set_cluster(map);
+    receiver.set_cluster(map);
+    receiver.start();
+    sender.start();
+
+    Bytes payload(1024 * 1024);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 12));
+    const obs::CounterDelta delta;
+    sender.run_on(0, [payload](Context& ctx) { ctx.send(1, payload); });
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!got->arrived.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sender.shutdown();
+    receiver.shutdown();
+    ASSERT_TRUE(got->arrived.load());
+    EXPECT_EQ(got->got, payload);
+    EXPECT_GT(delta("net/read_calls"), 1u) << "the frame spans several reads";
 }
 
 }  // namespace
