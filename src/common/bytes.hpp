@@ -11,9 +11,9 @@
 //
 // Retention rule: a slice shares ownership of its WHOLE backing
 // allocation, so state that outlives the handler pins the full wire image
-// it was cut from. On the TCP runtime that image is one read(2)'s bytes,
-// sized to what the socket held (net/frame.hpp), so a retained slice pins
-// at most one read's bytes, never a fixed-size receive buffer. Transient
+// it was cut from. On the TCP runtime that image holds one read(2)'s
+// bytes, sized by FIONREAD and capped at the read chunk (net/frame.hpp),
+// so a retained slice pins at most one read's bytes. Transient
 // protocol state accepts this (one shared allocation per fan-out or per
 // read, reclaimed on GC/compaction); long-lived application state
 // detaches deliberately via compact(). The full lifetime story lives in

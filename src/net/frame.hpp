@@ -26,15 +26,14 @@
 //   a transport buffer.
 // * Receive side: FrameReassembler::read_from asks the socket how many
 //   bytes it holds (FIONREAD) and reads exactly that many, capped at one
-//   read chunk, straight into the receive image — no fixed-size buffer
-//   is allocated or zero-filled per read, and no read ends in EAGAIN.
-//   Once at least one complete frame is present, the image is frozen
-//   into an immutable Buffer holding just the bytes read, and every
-//   complete frame is emitted as a zero-copy subslice of it (protocols
-//   then decode in place, as everywhere else), so a retained frame pins
-//   at most one read's bytes. Only a partial trailing frame is carried
-//   over into the next receive image — a bounded, counted copy of at
-//   most one frame prefix.
+//   read chunk, straight into the receive image; only a capped read is
+//   followed by another. Once at least one complete frame is present,
+//   the image is frozen into an immutable Buffer holding just the bytes
+//   read, and every complete frame is emitted as a zero-copy subslice of
+//   it (protocols then decode in place, as everywhere else), so a
+//   retained frame pins at most one read's bytes. Only a partial trailing
+//   frame is carried over into the next receive image — a bounded,
+//   counted copy of at most one frame prefix.
 #ifndef WBAM_NET_FRAME_HPP
 #define WBAM_NET_FRAME_HPP
 
@@ -220,19 +219,13 @@ public:
                 queued > 0
                     ? std::min(static_cast<std::size_t>(queued), max_read)
                     : 1;
-            if (filled_ >= frame_header_size) {
-                // A frame is part-read and its length is known: size the
-                // image for all of it once, so capped reads fill it in place.
-                const std::size_t len = get_frame_header(pending_.data());
-                if (len <= max_frame_)
-                    pending_.reserve(frame_header_size + len);
-            }
             const ssize_t n = ::read(fd, write_ptr(want), want);
             if (n < 0 && errno == EINTR) continue;
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
                 return ReadStatus::open;
             if (n <= 0) return ReadStatus::closed;
             transport_stats::note_read();
+            bytes_read_ += static_cast<std::uint64_t>(n);
             filled_ += static_cast<std::size_t>(n);
             bool rejected = false;
             const bool ok = drain([&](const BufferSlice& payload) {
@@ -288,6 +281,9 @@ public:
     // Bytes buffered but not yet emitted (header or partial frame).
     std::size_t buffered() const { return filled_; }
 
+    // Bytes read_from has read from the socket, in total.
+    std::uint64_t bytes_read() const { return bytes_read_; }
+
 private:
     // Writable window of `n` bytes at the tail of the pending image.
     std::uint8_t* write_ptr(std::size_t n) {
@@ -298,6 +294,7 @@ private:
     std::size_t max_frame_;
     Bytes pending_;
     std::size_t filled_ = 0;
+    std::uint64_t bytes_read_ = 0;
 };
 
 }  // namespace wbam::net

@@ -41,9 +41,8 @@ void set_nodelay(int fd) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-// Cap on one read(2); each read is sized to the bytes the socket holds
-// (FrameReassembler::read_from), so this bounds a receive image, it is
-// not allocated per read.
+// Cap on one read(2), and so on one receive image: each read is sized to
+// the bytes the socket holds (FrameReassembler::read_from).
 constexpr std::size_t read_chunk = 64 * 1024;
 // Redial backoff of a dead outbound connection: doubles from min to max.
 constexpr Duration dial_backoff_min = milliseconds(10);
@@ -606,7 +605,7 @@ bool NetWorld::Loop::on_frame(Conn& c, const BufferSlice& payload) {
 }
 
 bool NetWorld::Loop::read_conn(Conn& c) {
-    read_progress = true;  // progress marker for the shutdown drain
+    const std::uint64_t bytes_before = c.in.bytes_read();
     std::uint64_t frames = 0;
     const auto status =
         c.in.read_from(c.fd, read_chunk, [&](const BufferSlice& payload) {
@@ -614,6 +613,9 @@ bool NetWorld::Loop::read_conn(Conn& c) {
             return on_frame(c, payload);
         });
     transport_stats::note_frames_received(frames);
+    // Progress marker for the shutdown drain: only bytes count, not an
+    // EOF, an error or a spurious wakeup.
+    if (c.in.bytes_read() != bytes_before) read_progress = true;
     if (status == FrameReassembler::ReadStatus::open) return true;
     if (status == FrameReassembler::ReadStatus::malformed)
         log::info("net: dropping malformed connection (local p", c.local,

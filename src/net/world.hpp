@@ -21,10 +21,9 @@
 // writev(2) per batch — payload bytes are never copied into a transport
 // buffer and the batched path allocates nothing per message. Inbound,
 // each readable socket gets reads sized to the bytes it holds
-// (FrameReassembler::read_from: FIONREAD, capped at 64 KiB; no read
-// ends in EAGAIN), each receive image holds exactly one read's bytes, and
-// complete frames are delivered as aliasing subslices of it in one
-// multi-frame handler pass.
+// (FrameReassembler::read_from: FIONREAD, capped at read_chunk), each
+// receive image holds one read's bytes, and complete frames are
+// delivered as aliasing subslices of it in one multi-frame handler pass.
 //
 // Connection lifecycle: every local process listens on its endpoint from
 // the ClusterMap; a send to a remote ProcessId lazily dials one outbound

@@ -274,6 +274,7 @@ TEST(NetFrameTest, SocketReadFreezesOneImageOfExactlyTheQueuedBytes) {
     EXPECT_EQ(delta("buffer/bytes_frozen"), stream.size());
     EXPECT_EQ(delta("buffer/buffers_frozen"), 1u);
     EXPECT_EQ(delta("net/read_calls"), 1u);
+    EXPECT_EQ(r.bytes_read(), stream.size());
     EXPECT_EQ(r.buffered(), 0u);
 }
 
@@ -298,6 +299,7 @@ TEST(NetFrameTest, CappedSocketReadsContinueUntilTheQueueIsRead) {
                           }),
               FrameReassembler::ReadStatus::open);
     EXPECT_EQ(got, payloads);
+    EXPECT_EQ(r.bytes_read(), stream.size());
     EXPECT_EQ(r.buffered(), 0u);
 }
 
@@ -313,6 +315,7 @@ TEST(NetFrameTest, PeerCloseWithNothingQueuedIsEof) {
                               return true;
                           }),
               FrameReassembler::ReadStatus::closed);
+    EXPECT_EQ(r.bytes_read(), 0u) << "an EOF is not read progress";
 }
 
 TEST(NetFrameTest, RejectedFrameMakesTheSocketStreamMalformed) {
