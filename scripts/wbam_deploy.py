@@ -236,7 +236,10 @@ def wait_all(procs, names, timeout_s):
 
 
 def check_sequences(outdir, layout):
-    """Replicas of one group must have written identical sequences."""
+    """Replicas of one group must have written identical sequences, and
+    any two groups must deliver the messages they share in the same
+    relative order (the ordering property of atomic multicast)."""
+    orders = []
     for g in range(layout.groups):
         members = list(range(g * layout.group_size, (g + 1) * layout.group_size))
         first = None
@@ -253,8 +256,18 @@ def check_sequences(outdir, layout):
                      f"replica {first_pid} (group {g})")
         if not first:
             fail(f"group {g} delivered nothing")
-        log(f"group {g}: {len(first.splitlines())} deliveries, "
+        orders.append(first.split())
+        log(f"group {g}: {len(orders[-1])} deliveries, "
             f"identical on {len(members)} replicas")
+    for a in range(len(orders)):
+        for b in range(a + 1, len(orders)):
+            common = set(orders[a]) & set(orders[b])
+            if [i for i in orders[a] if i in common] != \
+                    [i for i in orders[b] if i in common]:
+                fail(f"groups {a} and {b} order their {len(common)} common "
+                     f"messages differently")
+            log(f"groups {a} and {b}: {len(common)} common messages in "
+                f"the same order")
 
 
 def check_json(path, args):
@@ -453,9 +466,9 @@ def cmd_local(args):
     run_id = f"{random.randrange(16**4):04x}"
     outdir = args.workdir or f"/tmp/wbam-deploy-{run_id}"
     os.makedirs(outdir, exist_ok=True)
-    # Random sub-32768 base port; a collision surfaces as an early wbamd
-    # death and we retry with a fresh range (same policy as
-    # scripts/run_loopback_cluster.sh).
+    # Random sub-32768 base port (below the kernel's ephemeral range); a
+    # collision surfaces as an early wbamd death and we retry with a fresh
+    # range.
     for attempt in range(3):
         args.base_port = 20000 + random.randrange(12000)
         layout = Layout(args, node_ip=lambda r: "127.0.0.1")

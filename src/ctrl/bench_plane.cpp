@@ -145,8 +145,7 @@ void NodeShim::handle_ctrl(Context& ctx, const codec::EnvelopeView& env) {
                 done.delivered = deliveries_.size();
                 done.digest = digest_;
                 done.app_hash = kv_state_ ? kv_state_->state_hash() : 0;
-                reported_ = deliveries_;
-                report_answered_ = true;
+                reported_len_ = deliveries_.size();
             }
             done.metrics = obs::metrics().snapshot();
             ctx.send(coordinator_,
@@ -168,7 +167,9 @@ std::vector<MsgId> NodeShim::deliveries() const {
 
 std::vector<MsgId> NodeShim::reported_deliveries() const {
     const std::lock_guard<std::mutex> guard(deliveries_mutex_);
-    return report_answered_ ? reported_ : deliveries_;
+    if (!reported_len_) return deliveries_;
+    return {deliveries_.begin(),
+            deliveries_.begin() + static_cast<std::ptrdiff_t>(*reported_len_)};
 }
 
 // --- BenchDriver -------------------------------------------------------------
@@ -195,13 +196,11 @@ void BenchDriver::on_message(Context& ctx, ProcessId, const BufferSlice& bytes) 
             return;
         codec::Reader body = env.body;
         const GroupId group = DeliverAckMsg::decode(body).group;
-        const client::LatencySampler::Delivery d =
-            sampler_.note_group_delivery(env.about, group, ctx.now());
-        (void)d;
         const auto it = pending_.find(env.about);
-        if (it == pending_.end()) return;
+        if (it == pending_.end()) return;  // duplicate after completion
         it->second.acked.insert(group);
         if (it->second.acked.size() == it->second.msg.dests.size()) {
+            sampler_.note_completion(it->second.msg.submit_ts, ctx.now());
             pending_.erase(it);
             // Closed loop: this session immediately issues its next op
             // (even past window close — sustained load keeps the other
@@ -294,8 +293,7 @@ void BenchDriver::issue(Context& ctx) {
     }
     const MsgId id = make_msg_id(ctx.self(), seq_++);
     AppMessage m = make_app_message(id, std::move(dests), std::move(payload));
-    m.submit_ts = ctx.now();
-    sampler_.note_multicast(id, ctx.now(), m.dests.size());
+    m.submit_ts = ctx.now();  // the issue time the latency sample uses
     const Buffer wire = encode_multicast_request(m);
     for (const GroupId g : m.dests) ctx.send(topo_.initial_leader(g), wire);
     PendingOp& p = pending_[id];

@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -109,9 +110,10 @@ private:
     std::vector<std::pair<ProcessId, BufferSlice>> early_mail_;
 
     mutable std::mutex deliveries_mutex_;
-    std::vector<MsgId> deliveries_;
-    std::vector<MsgId> reported_;  // deliveries_ at the last REPORT
-    bool report_answered_ = false;
+    std::vector<MsgId> deliveries_;  // append-only
+    // deliveries_.size() at the last REPORT answered; reported_deliveries()
+    // is that prefix.
+    std::optional<std::size_t> reported_len_;
     std::uint64_t digest_ = 0;
     // KV workload only (spec.workload == kv): this replica's shard of the
     // partitioned store. Built at RUN_SPEC (the group/shard mapping needs
@@ -133,6 +135,8 @@ public:
     void on_timer(Context& ctx, TimerId id) override;
 
 private:
+    // One op in flight; msg.submit_ts is its issue time, the start of its
+    // latency sample (retries keep it).
     struct PendingOp {
         AppMessage msg;
         std::unordered_set<GroupId> acked;

@@ -215,11 +215,13 @@ public:
         for (;;) {
             int queued = 0;
             if (::ioctl(fd, FIONREAD, &queued) < 0) queued = 0;
+            transport_stats::note_recv_syscall();
             const std::size_t want =
                 queued > 0
                     ? std::min(static_cast<std::size_t>(queued), max_read)
                     : 1;
             const ssize_t n = ::read(fd, write_ptr(want), want);
+            transport_stats::note_recv_syscall();
             if (n < 0 && errno == EINTR) continue;
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
                 return ReadStatus::open;

@@ -4,7 +4,10 @@
 // coalescing *measurable* — frames_sent / writev_calls is the syscall
 // amortization factor the saturation benchmark reports, and
 // net_transport_test asserts a burst of queued frames flushes in a single
-// writev.
+// writev. On the receive side, read_calls counts productive reads only,
+// while recv_syscalls counts every receive-path syscall (the FIONREAD
+// ioctl and each read(2), including those that end in EAGAIN, EOF or an
+// error), so wasted receive syscalls show as their difference.
 #ifndef WBAM_NET_STATS_HPP
 #define WBAM_NET_STATS_HPP
 
@@ -25,6 +28,10 @@ inline std::atomic<std::uint64_t>& read_calls_counter() {
     static std::atomic<std::uint64_t> v{0};
     return v;
 }
+inline std::atomic<std::uint64_t>& recv_syscalls_counter() {
+    static std::atomic<std::uint64_t> v{0};
+    return v;
+}
 inline std::atomic<std::uint64_t>& frames_received_counter() {
     static std::atomic<std::uint64_t> v{0};
     return v;
@@ -40,6 +47,9 @@ inline void note_writev(std::uint64_t frames) {
 }
 inline void note_read() {
     read_calls_counter().fetch_add(1, std::memory_order_relaxed);
+}
+inline void note_recv_syscall() {
+    recv_syscalls_counter().fetch_add(1, std::memory_order_relaxed);
 }
 inline void note_frames_received(std::uint64_t frames) {
     frames_received_counter().fetch_add(frames, std::memory_order_relaxed);
@@ -57,6 +67,9 @@ inline std::uint64_t frames_sent() {
 inline std::uint64_t read_calls() {
     return read_calls_counter().load(std::memory_order_relaxed);
 }
+inline std::uint64_t recv_syscalls() {
+    return recv_syscalls_counter().load(std::memory_order_relaxed);
+}
 inline std::uint64_t frames_received() {
     return frames_received_counter().load(std::memory_order_relaxed);
 }
@@ -68,6 +81,7 @@ inline void reset() {
     writev_calls_counter().store(0, std::memory_order_relaxed);
     frames_sent_counter().store(0, std::memory_order_relaxed);
     read_calls_counter().store(0, std::memory_order_relaxed);
+    recv_syscalls_counter().store(0, std::memory_order_relaxed);
     frames_received_counter().store(0, std::memory_order_relaxed);
     acks_sent_counter().store(0, std::memory_order_relaxed);
 }

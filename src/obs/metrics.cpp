@@ -253,6 +253,8 @@ MetricsRegistry::MetricsRegistry() {
     register_adapter("net/writev_calls", &net::transport_stats::writev_calls);
     register_adapter("net/frames_sent", &net::transport_stats::frames_sent);
     register_adapter("net/read_calls", &net::transport_stats::read_calls);
+    register_adapter("net/recv_syscalls",
+                     &net::transport_stats::recv_syscalls);
     register_adapter("net/frames_received",
                      &net::transport_stats::frames_received);
     register_adapter("net/acks_sent", &net::transport_stats::acks_sent);

@@ -1,9 +1,9 @@
-// wbamd/wbamctl bootstrap validation (harness/bootstrap.hpp): argv
-// parsing with a malformed-input rejection table, --peers/--base-port/
-// --topology ClusterMap resolution (including precedence), and the
-// parse_cluster/format_cluster round-trip — the unit-level guarantee
-// that deployment-driver-generated configurations are validated before
-// any socket is opened.
+// wbamd bootstrap validation (harness/bootstrap.hpp): argv parsing with
+// a malformed-input rejection table (shape, addressing and workload
+// flags included), --topology ClusterMap resolution, and the
+// parse_cluster/format_cluster round-trip the topology file's endpoint
+// lists rely on — the unit-level guarantee that deployment-driver-
+// generated configurations are validated before any socket is opened.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "harness/bootstrap.hpp"
+#include "harness/topology_spec.hpp"
 
 namespace wbam {
 namespace {
 
-using harness::Bootstrap;
 using harness::NodeOptions;
 using harness::parse_node_args;
 using harness::resolve_bootstrap;
@@ -27,32 +27,24 @@ std::optional<NodeOptions> parse(std::vector<const char*> args,
 }
 
 TEST(BootstrapArgsTest, FullFlagSetParses) {
-    const auto o = parse({"--pid=7", "--proto=ftskeen", "--groups=3",
-                          "--group-size=5", "--clients=2", "--base-port=9000",
-                          "--run-ms=1234", "--msgs=9", "--payload=64",
-                          "--epoch-ns=123456789", "--bench",
-                          "--out=/tmp/x.txt", "-v"});
+    const auto o = parse({"--pid=7", "--topology=/tmp/c.topo",
+                          "--run-ms=1234", "--epoch-ns=123456789", "--bench",
+                          "--net-shards=1", "--out=/tmp/x.txt",
+                          "--wal-dir=/tmp/wal", "--wal-sync=always",
+                          "--metrics-dump=/tmp/m.jsonl",
+                          "--metrics-interval-ms=250", "-v"});
     ASSERT_TRUE(o.has_value());
     EXPECT_EQ(o->pid, 7);
-    EXPECT_EQ(o->proto, harness::ProtocolKind::ftskeen);
-    EXPECT_EQ(o->groups, 3);
-    EXPECT_EQ(o->group_size, 5);
-    EXPECT_EQ(o->clients, 2);
-    EXPECT_EQ(o->base_port, 9000);
+    EXPECT_EQ(o->topology_file, "/tmp/c.topo");
     EXPECT_EQ(o->run_ms, 1234);
-    EXPECT_EQ(o->msgs, 9);
-    EXPECT_EQ(o->payload, 64);
     EXPECT_EQ(o->epoch_ns, 123456789);
     EXPECT_TRUE(o->bench);
     EXPECT_EQ(o->out, "/tmp/x.txt");
+    EXPECT_EQ(o->wal_dir, "/tmp/wal");
+    EXPECT_EQ(o->wal_sync, "always");
+    EXPECT_EQ(o->metrics_dump, "/tmp/m.jsonl");
+    EXPECT_EQ(o->metrics_interval_ms, 250);
     EXPECT_TRUE(o->verbose);
-}
-
-TEST(BootstrapArgsTest, PeersAloneSufficesForAddressing) {
-    const auto o = parse({"--pid=0", "--peers=a:1,b:2,c:3"});
-    ASSERT_TRUE(o.has_value());
-    EXPECT_EQ(o->peers, "a:1,b:2,c:3");
-    EXPECT_EQ(o->base_port, 0);
 }
 
 TEST(BootstrapArgsTest, MalformedArgsRejected) {
@@ -60,16 +52,14 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
         const char* name;
         std::vector<const char*> args;
     } cases[] = {
-        {"no pid", {"--base-port=9000"}},
-        {"no addressing", {"--pid=0"}},
-        {"unknown flag", {"--pid=0", "--base-port=9000", "--frobnicate=1"}},
-        {"unknown proto", {"--pid=0", "--base-port=9000", "--proto=quux"}},
-        {"non-numeric pid", {"--pid=zero", "--base-port=9000"}},
-        {"negative pid", {"--pid=-3", "--base-port=9000"}},
-        {"port zero", {"--pid=0", "--base-port=0"}},
-        {"port too large", {"--pid=0", "--base-port=70000"}},
-        {"bad run-ms", {"--pid=0", "--base-port=9000", "--run-ms=0"}},
-        {"trailing junk", {"--pid=0x7", "--base-port=9000"}},
+        {"no pid", {"--topology=c.topo"}},
+        {"no topology", {"--pid=0"}},
+        {"unknown flag", {"--pid=0", "--topology=c.topo", "--frobnicate=1"}},
+        {"non-numeric pid", {"--pid=zero", "--topology=c.topo"}},
+        {"negative pid", {"--pid=-3", "--topology=c.topo"}},
+        {"bad run-ms", {"--pid=0", "--topology=c.topo", "--run-ms=0"}},
+        {"bad wal-sync", {"--pid=0", "--topology=c.topo", "--wal-sync=maybe"}},
+        {"trailing junk", {"--pid=0x7", "--topology=c.topo"}},
     };
     for (const auto& c : cases) {
         std::string error;
@@ -79,15 +69,33 @@ TEST(BootstrapArgsTest, MalformedArgsRejected) {
     }
 }
 
+// Shape, addressing and workload are not wbamd flags: the topology file
+// fixes the shape and addresses, and the coordinator's RUN_SPEC the
+// workload. Each such flag is an unknown argument, named in the error.
+TEST(BootstrapArgsTest, RemovedFlagsAreUnknownArguments) {
+    for (const char* arg :
+         {"--proto=wbcast", "--groups=2", "--group-size=3", "--clients=1",
+          "--base-port=9000", "--peers=a:1,b:2", "--msgs=25",
+          "--payload=32"}) {
+        std::string error;
+        EXPECT_FALSE(parse({"--pid=0", "--topology=c.topo", arg}, &error)
+                         .has_value())
+            << arg << " was accepted";
+        EXPECT_NE(error.find(std::string("unknown argument: ") + arg),
+                  std::string::npos)
+            << arg << ": " << error;
+    }
+}
+
 // Launch scripts still pass --net-shards=1; a NetWorld runs one event
 // loop, so that is the only value the flag takes.
 TEST(BootstrapArgsTest, NetShardsAcceptsOnlyOne) {
-    const auto o = parse({"--pid=0", "--base-port=9000", "--net-shards=1"});
+    const auto o = parse({"--pid=0", "--topology=c.topo", "--net-shards=1"});
     ASSERT_TRUE(o.has_value());
     EXPECT_EQ(o->net_shards, 1);
     for (const char* arg : {"--net-shards=0", "--net-shards=2"}) {
         std::string error;
-        EXPECT_FALSE(parse({"--pid=0", "--base-port=9000", arg}, &error)
+        EXPECT_FALSE(parse({"--pid=0", "--topology=c.topo", arg}, &error)
                          .has_value())
             << arg << " was accepted";
         EXPECT_NE(error.find("--net-shards"), std::string::npos)
@@ -113,73 +121,62 @@ TEST(ClusterMapTest, MalformedPeerListsRejected) {
     }
 }
 
-TEST(BootstrapResolveTest, BasePortBuildsLoopbackMap) {
-    const auto o = parse({"--pid=2", "--groups=2", "--group-size=3",
-                          "--clients=1", "--base-port=9100"});
+// A 2x3 topology with 3 clients (9 processes) on ports 7200..7208.
+class BootstrapResolveTest : public testing::Test {
+protected:
+    void SetUp() override {
+        ASSERT_TRUE(harness::TopologySpec::make_grouped(
+                        2, 3, 3, 2, microseconds(100), milliseconds(20), 7200)
+                        .save(path_));
+        flag_ = "--topology=" + path_;
+    }
+    void TearDown() override { std::remove(path_.c_str()); }
+
+    std::optional<NodeOptions> parse_pid(const char* pid) {
+        return parse({pid, flag_.c_str()});
+    }
+
+    const std::string path_ = testing::TempDir() + "/bootstrap_topo.txt";
+    std::string flag_;
+};
+
+TEST_F(BootstrapResolveTest, TopologyFileSuppliesShapeAndAddresses) {
+    const auto o = parse_pid("--pid=8");
     ASSERT_TRUE(o.has_value());
     std::string error;
     const auto b = resolve_bootstrap(*o, &error);
     ASSERT_TRUE(b.has_value()) << error;
-    EXPECT_EQ(b->topo.num_processes(), 7);
-    EXPECT_EQ(b->map.of(6).port, 9106);
-    EXPECT_EQ(b->map.of(0).host, "127.0.0.1");
-    EXPECT_FALSE(b->spec.has_value());
+    EXPECT_EQ(b->topo.num_groups(), 2);
+    EXPECT_EQ(b->topo.num_clients(), 3);
+    EXPECT_EQ(b->topo.num_processes(), 9);
+    ASSERT_EQ(b->map.endpoints.size(), 9u);
+    EXPECT_EQ(b->map.of(0).port, 7200);
+    EXPECT_EQ(b->map.of(8).port, 7208);
 }
 
-TEST(BootstrapResolveTest, PeersMustMatchTopologySize) {
-    const auto o = parse({"--pid=0", "--groups=2", "--group-size=1",
-                          "--clients=1", "--peers=a:1,b:2"});
+TEST_F(BootstrapResolveTest, RejectsOutOfTopologyPid) {
+    const auto o = parse_pid("--pid=9");
     ASSERT_TRUE(o.has_value());
     std::string error;
-    EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
-    EXPECT_NE(error.find("2 endpoints"), std::string::npos) << error;
-
-    const auto ok = parse({"--pid=0", "--groups=2", "--group-size=1",
-                           "--clients=1", "--peers=a:1,b:2,c:3"});
-    const auto b = resolve_bootstrap(*ok, &error);
-    ASSERT_TRUE(b.has_value()) << error;
-    EXPECT_EQ(b->map.of(2).host, "c");
-}
-
-TEST(BootstrapResolveTest, RejectsOutOfTopologyPidAndEvenGroups) {
-    std::string error;
-    const auto o = parse({"--pid=7", "--groups=2", "--group-size=1",
-                          "--clients=1", "--base-port=9000"});
     EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
     EXPECT_NE(error.find("outside"), std::string::npos) << error;
-
-    const auto even = parse({"--pid=0", "--groups=2", "--group-size=4",
-                             "--clients=1", "--base-port=9000"});
-    EXPECT_FALSE(resolve_bootstrap(*even, &error).has_value());
-    EXPECT_NE(error.find("odd"), std::string::npos) << error;
-
-    const auto high = parse({"--pid=0", "--groups=2", "--group-size=3",
-                             "--clients=1", "--base-port=65533"});
-    EXPECT_FALSE(resolve_bootstrap(*high, &error).has_value());
-    EXPECT_NE(error.find("room"), std::string::npos) << error;
 }
 
-TEST(BootstrapResolveTest, TopologyFileWinsAndSuppliesShape) {
-    const harness::TopologySpec spec = harness::TopologySpec::make_grouped(
-        2, 3, 3, 2, microseconds(100), milliseconds(20), 7200);
-    const std::string path = testing::TempDir() + "/bootstrap_topo.txt";
-    ASSERT_TRUE(spec.save(path));
-
-    // Flag shape (1x1x1) contradicts the file; the file wins.
-    auto o = parse({"--pid=8", "--groups=1", "--group-size=1", "--clients=1",
-                    "--base-port=9000"});
-    o->topology_file = path;
+TEST_F(BootstrapResolveTest, MissingOrMalformedFileRejected) {
+    auto o = parse_pid("--pid=0");
+    ASSERT_TRUE(o.has_value());
     std::string error;
-    const auto b = resolve_bootstrap(*o, &error);
-    ASSERT_TRUE(b.has_value()) << error;
-    EXPECT_EQ(b->topo.num_processes(), 9);
-    EXPECT_EQ(b->map.of(8).port, 7208);
-    ASSERT_TRUE(b->spec.has_value());
-    EXPECT_EQ(b->spec->regions, 2);
-    std::remove(path.c_str());
-
     o->topology_file = "/nonexistent/nope.txt";
     EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a topology\n", f);
+    std::fclose(f);
+    o->topology_file = path_;
+    EXPECT_FALSE(resolve_bootstrap(*o, &error).has_value());
+    EXPECT_NE(error.find(path_), std::string::npos) << error;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // in-process twin of a wbamd --bench + wbamctl run deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -165,32 +166,29 @@ TEST(CtrlCodecTest, DeliveryDigestIsOrderSensitive) {
 
 // --- LatencySampler ----------------------------------------------------------
 
-TEST(LatencySamplerTest, WindowAndDrainSemantics) {
+TEST(LatencySamplerTest, WindowEdgesAndDrainSemantics) {
     client::LatencySampler s;
     s.set_window(milliseconds(10), milliseconds(30));
 
-    // Completes inside the window: counted, sampled, drainable.
-    s.note_multicast(1, milliseconds(5), 2);
-    EXPECT_FALSE(s.note_group_delivery(1, 0, milliseconds(12)).completed);
-    const auto done = s.note_group_delivery(1, 1, milliseconds(15));
-    EXPECT_TRUE(done.first_in_group);
-    EXPECT_TRUE(done.completed);
-    // Duplicate delivery in the same group: neither first nor completing.
-    const auto dup = s.note_group_delivery(1, 1, milliseconds(16));
-    EXPECT_FALSE(dup.first_in_group);
-    EXPECT_FALSE(dup.completed);
-
-    // Completes after the window closes: total but not in-window.
-    s.note_multicast(2, milliseconds(20), 1);
-    s.note_group_delivery(2, 0, milliseconds(31));
-
-    EXPECT_EQ(s.completed_in_window(), 1u);
-    EXPECT_EQ(s.completed_total(), 2u);
-    const auto drained = s.drain_samples();
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0], milliseconds(10));  // 15 - 5
+    s.note_completion(milliseconds(2), milliseconds(9));   // before: dropped
+    s.note_completion(milliseconds(5), milliseconds(10));  // start: counted
+    s.note_completion(milliseconds(5), milliseconds(15));  // inside: counted
+    EXPECT_EQ(s.completed_in_window(), 2u);
+    EXPECT_EQ(s.drain_samples(),
+              (std::vector<Duration>{milliseconds(5), milliseconds(10)}));
     EXPECT_TRUE(s.drain_samples().empty());  // drained means drained
-    EXPECT_EQ(s.latency().count(), 1u);      // histogram keeps the sample
+    EXPECT_EQ(s.completed_in_window(), 2u);  // the count survives a drain
+
+    s.note_completion(milliseconds(20), milliseconds(29));  // last tick in
+    s.note_completion(milliseconds(20), milliseconds(30));  // end: excluded
+    EXPECT_EQ(s.completed_in_window(), 3u);
+    EXPECT_EQ(s.drain_samples(), std::vector<Duration>{milliseconds(9)});
+
+    // A new window starts empty: count and undrained samples reset.
+    s.note_completion(milliseconds(20), milliseconds(25));
+    s.set_window(milliseconds(40), milliseconds(50));
+    EXPECT_EQ(s.completed_in_window(), 0u);
+    EXPECT_TRUE(s.drain_samples().empty());
 }
 
 // --- end-to-end over loopback TCP -------------------------------------------
@@ -298,6 +296,29 @@ TEST(CtrlPlaneTest, DistributedRunProducesMergedValidatedResult) {
             EXPECT_EQ(fx.shims[static_cast<std::size_t>(p)]->deliveries(),
                       first)
                 << "replica p" << p << " diverges in group " << g;
+    }
+
+    // The --out sequence is the prefix of the delivery record that the
+    // last REPORT counted: the coordinator certified those prefixes equal
+    // within each group.
+    for (GroupId g = 0; g < fx.topo.num_groups(); ++g) {
+        const auto& members = fx.topo.members(g);
+        const auto validated = fx.shims[static_cast<std::size_t>(
+                                            members.front())]
+                                   ->reported_deliveries();
+        EXPECT_FALSE(validated.empty());
+        for (const ProcessId p : members) {
+            const ctrl::NodeShim& shim =
+                *fx.shims[static_cast<std::size_t>(p)];
+            const auto reported = shim.reported_deliveries();
+            EXPECT_EQ(reported, validated)
+                << "replica p" << p << " reported a different sequence";
+            const auto all = shim.deliveries();
+            ASSERT_LE(reported.size(), all.size());
+            EXPECT_TRUE(std::equal(reported.begin(), reported.end(),
+                                   all.begin()))
+                << "replica p" << p << ": reported is not a prefix";
+        }
     }
 }
 

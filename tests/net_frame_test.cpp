@@ -274,6 +274,7 @@ TEST(NetFrameTest, SocketReadFreezesOneImageOfExactlyTheQueuedBytes) {
     EXPECT_EQ(delta("buffer/bytes_frozen"), stream.size());
     EXPECT_EQ(delta("buffer/buffers_frozen"), 1u);
     EXPECT_EQ(delta("net/read_calls"), 1u);
+    EXPECT_EQ(delta("net/recv_syscalls"), 2u) << "one ioctl, one read";
     EXPECT_EQ(r.bytes_read(), stream.size());
     EXPECT_EQ(r.buffered(), 0u);
 }
@@ -308,6 +309,7 @@ TEST(NetFrameTest, PeerCloseWithNothingQueuedIsEof) {
     ASSERT_GE(sp.rd, 0);
     ::close(sp.wr);
     sp.wr = -1;
+    const obs::CounterDelta delta;
     FrameReassembler r;
     EXPECT_EQ(r.read_from(sp.rd, 64 * 1024,
                           [](const BufferSlice&) {
@@ -316,6 +318,9 @@ TEST(NetFrameTest, PeerCloseWithNothingQueuedIsEof) {
                           }),
               FrameReassembler::ReadStatus::closed);
     EXPECT_EQ(r.bytes_read(), 0u) << "an EOF is not read progress";
+    // The ioctl and the read that saw EOF are syscalls, not reads.
+    EXPECT_EQ(delta("net/recv_syscalls"), 2u);
+    EXPECT_EQ(delta("net/read_calls"), 0u);
 }
 
 TEST(NetFrameTest, RejectedFrameMakesTheSocketStreamMalformed) {
